@@ -298,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "batches with zero backend calls, "
                                 "invalidated per table on DML)")
     serve_cmd.add_argument("--no-trace", action="store_true",
-                           help="disable request-scoped tracing (metrics "
-                                "and SHOW HYPERQ commands return empty)")
+                           help="keep no traces: no ring buffer, trace log "
+                                "or slow-query log (SHOW HYPERQ TRACES "
+                                "returns empty; metrics still count)")
     serve_cmd.add_argument("--trace-ring", type=int, default=256,
                            help="finished traces kept in memory for "
                                 "SHOW HYPERQ TRACE <id> (default: 256)")

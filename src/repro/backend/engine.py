@@ -59,10 +59,6 @@ class QueryResult:
         self._consumed = False
 
     @property
-    def is_rows(self) -> bool:
-        return self.kind == "rows"
-
-    @property
     def streaming(self) -> bool:
         """True while rows are still a lazy, unconsumed batch source."""
         return self._batch_source is not None

@@ -84,7 +84,7 @@ def prepare_tpch_engine(scale: float = 0.001, seed: int = 20180610,
         session.execute(SCHEMA_DDL[table].strip())
     datagen.load_direct(engine.backend, scale=scale, seed=seed)
     # Loading is not part of the measured workload.
-    engine.timing_log = TimingLog()
+    engine.timing_log.reset()
     return engine
 
 

@@ -71,14 +71,6 @@ class ShadowCatalog:
         """Monotonic counter, bumped on every catalog mutation."""
         return self._version
 
-    def table_version(self, name: str) -> int:
-        """Schema (DDL) epoch of one object; 0 if never touched."""
-        return self._table_versions.get(name.upper(), 0)
-
-    def data_version(self, name: str) -> int:
-        """Data (DML) epoch of one table; 0 if never written."""
-        return self._data_versions.get(name.upper(), 0)
-
     def version_vector(self, names) -> tuple:
         """Sorted ``(name, schema_epoch, data_epoch)`` triples for *names*.
 
@@ -210,9 +202,6 @@ class ShadowCatalog:
             raise CatalogError(f"macro {name} does not exist")
         return macro
 
-    def has_macro(self, name: str) -> bool:
-        return name.upper() in self._macros
-
     # -- procedures -------------------------------------------------------------------
 
     def add_procedure(self, procedure: ProcedureDef, replace: bool = False) -> None:
@@ -233,9 +222,6 @@ class ShadowCatalog:
         if procedure is None:
             raise CatalogError(f"procedure {name} does not exist")
         return procedure
-
-    def has_procedure(self, name: str) -> bool:
-        return name.upper() in self._procedures
 
 
 class SessionCatalog:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import EmulationError
-from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import types as t
 
@@ -20,23 +19,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import HQResult, HyperQSession
 
 
-def run(session: "HyperQSession", bound: r.Statement,
-        timing: RequestTiming) -> "HQResult":
+def run(session: "HyperQSession", bound: r.Statement) -> "HQResult":
     if isinstance(bound, r.HelpCommand):
-        return _run_help(session, bound, timing)
+        return _run_help(session, bound)
     if isinstance(bound, r.ShowCommand):
-        return _run_show(session, bound, timing)
+        return _run_show(session, bound)
     raise EmulationError(f"unsupported command {type(bound).__name__}")
 
 
-def _run_help(session: "HyperQSession", bound: r.HelpCommand,
-              timing: RequestTiming) -> "HQResult":
+def _run_help(session: "HyperQSession", bound: r.HelpCommand) -> "HQResult":
     if bound.kind is r.HelpKind.SESSION:
         rows = [(name, str(value))
                 for name, value in sorted(session.session_params.items())]
         return session.fabricate_result(
-            ["PARAMETER", "SETTING"], [t.varchar(64), t.varchar(256)], rows,
-            timing)
+            ["PARAMETER", "SETTING"], [t.varchar(64), t.varchar(256)], rows)
     if bound.kind is r.HelpKind.TABLE:
         schema = session.catalog.table(bound.subject or "")
         rows = [
@@ -46,8 +42,7 @@ def _run_help(session: "HyperQSession", bound: r.HelpCommand,
         ]
         return session.fabricate_result(
             ["COLUMN_NAME", "TYPE", "NULLABLE", "DEFAULT_VALUE"],
-            [t.varchar(128), t.varchar(64), t.char(1), t.varchar(256)], rows,
-            timing)
+            [t.varchar(128), t.varchar(64), t.char(1), t.varchar(256)], rows)
     if bound.kind is r.HelpKind.COLUMN:
         subject = bound.subject or ""
         table_name, __, column_name = subject.rpartition(".")
@@ -58,18 +53,17 @@ def _run_help(session: "HyperQSession", bound: r.HelpCommand,
         rows = [(col.name, str(col.type), "Y" if col.nullable else "N")]
         return session.fabricate_result(
             ["COLUMN_NAME", "TYPE", "NULLABLE"],
-            [t.varchar(128), t.varchar(64), t.char(1)], rows, timing)
+            [t.varchar(128), t.varchar(64), t.char(1)], rows)
     # HELP DATABASE: list objects in the shadow catalog.
     shadow = session.engine.shadow
     rows = [(name, "T") for name in shadow.table_names()]
     rows += [(name, "V") for name in shadow.view_names()]
     rows += [(name, "O") for name in session.catalog.volatile_names()]
     return session.fabricate_result(
-        ["TABLE_NAME", "KIND"], [t.varchar(128), t.char(1)], rows, timing)
+        ["TABLE_NAME", "KIND"], [t.varchar(128), t.char(1)], rows)
 
 
-def _run_show(session: "HyperQSession", bound: r.ShowCommand,
-              timing: RequestTiming) -> "HQResult":
+def _run_show(session: "HyperQSession", bound: r.ShowCommand) -> "HQResult":
     if bound.object_kind == "MACRO":
         macro = session.engine.shadow.macro(bound.name)
         params = ", ".join(f"{name} {ptype}" for name, ptype in macro.parameters)
@@ -78,7 +72,7 @@ def _run_show(session: "HyperQSession", bound: r.ShowCommand,
             header += f" ({params})"
         ddl = f"{header} AS ({macro.body_sql});"
         return session.fabricate_result(
-            ["REQUEST_TEXT"], [t.varchar(4096)], [(ddl,)], timing)
+            ["REQUEST_TEXT"], [t.varchar(4096)], [(ddl,)])
     schema = session.catalog.resolve(bound.name)
     if schema is None:
         raise EmulationError(f"object {bound.name} does not exist")
@@ -87,7 +81,7 @@ def _run_show(session: "HyperQSession", bound: r.ShowCommand,
     else:
         ddl = reconstruct_table_ddl(schema)
     return session.fabricate_result(
-        ["REQUEST_TEXT"], [t.varchar(4096)], [(ddl,)], timing)
+        ["REQUEST_TEXT"], [t.varchar(4096)], [(ddl,)])
 
 
 def reconstruct_table_ddl(schema) -> str:

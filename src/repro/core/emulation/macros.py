@@ -15,7 +15,7 @@ import re
 from typing import TYPE_CHECKING
 
 from repro.errors import EmulationError
-from repro.core.timing import RequestTiming
+from repro.core import trace as trace_mod
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
 
@@ -61,21 +61,20 @@ def expand(session: "HyperQSession", bound: r.ExecMacro) -> str:
     return _PARAM_RE.sub(substitute, macro.body_sql)
 
 
-def run(session: "HyperQSession", bound: r.ExecMacro,
-        timing: RequestTiming) -> "HQResult":
+def run(session: "HyperQSession", bound: r.ExecMacro) -> "HQResult":
     from repro.core.engine import HQResult
 
     body_sql = expand(session, bound)
-    with timing.measure("translation"):
+    with trace_mod.span("parse", bytes=len(body_sql)):
         statements = session.parser.parse_script(body_sql)
     if not statements:
         raise EmulationError(f"macro {bound.name} has an empty body")
     last: HQResult | None = None
     rows_result: HQResult | None = None
     for ast in statements:
-        with timing.measure("translation"):
+        with trace_mod.span("bind"):
             inner = session.binder.bind(ast)
-        last = session._dispatch(inner, ast, timing)
+        last = session._dispatch(inner, ast)
         if last.kind == "rows":
             rows_result = last
-    return rows_result or last or HQResult(kind="ok", timing=timing)
+    return rows_result or last or HQResult(kind="ok")

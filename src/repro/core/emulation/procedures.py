@@ -15,8 +15,8 @@ import copy
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import EmulationError
+from repro.core import trace as trace_mod
 from repro.backend.expressions import Env, EvalContext, Evaluator
-from repro.core.timing import RequestTiming
 from repro.frontend.teradata import ast as a
 from repro.transform.capabilities import TERADATA
 from repro.xtra import relational as r
@@ -56,9 +56,8 @@ class _Frame:
 
 
 class _Interpreter:
-    def __init__(self, session: "HyperQSession", timing: RequestTiming):
+    def __init__(self, session: "HyperQSession"):
         self.session = session
-        self.timing = timing
         # The evaluator only needs scalar semantics; source (Teradata)
         # profile gives it the most permissive type mixing.
         self.evaluator = Evaluator(TERADATA, self._no_subquery)
@@ -120,16 +119,16 @@ class _Interpreter:
 
     def _run_sql(self, ast_statement: a.TdStatement, frame: _Frame) -> None:
         prepared = _substitute_statement(copy.deepcopy(ast_statement), frame)
-        with self.timing.measure("translation"):
+        with trace_mod.span("bind"):
             bound = self.session.binder.bind(prepared)
-        self.last_result = self.session._dispatch(bound, prepared, self.timing)
+        self.last_result = self.session._dispatch(bound, prepared)
 
     def _run_select_into(self, statement: a.TdSelectInto, frame: _Frame) -> None:
         query = a.TdQuery(statement.select)
         prepared = _substitute_statement(copy.deepcopy(query), frame)
-        with self.timing.measure("translation"):
+        with trace_mod.span("bind"):
             bound = self.session.binder.bind(prepared)
-        result = self.session._dispatch(bound, prepared, self.timing)
+        result = self.session._dispatch(bound, prepared)
         rows = result.rows
         if len(rows) != 1:
             raise EmulationError(
@@ -232,14 +231,13 @@ def _substitute_statement(statement: a.TdStatement, frame: _Frame) -> a.TdStatem
     return statement
 
 
-def run(session: "HyperQSession", bound: r.CallProcedure,
-        timing: RequestTiming) -> "HQResult":
+def run(session: "HyperQSession", bound: r.CallProcedure) -> "HQResult":
     """CALL: interpret the stored procedure body."""
     from repro.core.engine import HQResult
 
     procedure = session.engine.shadow.procedure(bound.name)
     frame = _Frame()
-    interpreter = _Interpreter(session, timing)
+    interpreter = _Interpreter(session)
     parameters = procedure.parameters
     if len(bound.arguments) > len(parameters):
         raise EmulationError(
@@ -257,7 +255,7 @@ def run(session: "HyperQSession", bound: r.CallProcedure,
         columns = [name for name, __ in out_params]
         rows = [tuple(value for __, value in out_params)]
         return session.fabricate_result(
-            columns, [t.UNKNOWN] * len(columns), rows, timing)
+            columns, [t.UNKNOWN] * len(columns), rows)
     if interpreter.last_result is not None:
         return interpreter.last_result
-    return HQResult(kind="ok", timing=timing)
+    return HQResult(kind="ok")

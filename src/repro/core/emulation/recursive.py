@@ -20,7 +20,6 @@ import copy
 from typing import TYPE_CHECKING
 
 from repro.errors import EmulationError
-from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import scalars as s_mod
 from repro.xtra import types as t
@@ -51,8 +50,7 @@ def _flatten_union_all(plan: RelNode) -> list[RelNode]:
     return [plan]
 
 
-def run(session: "HyperQSession", bound: r.Query,
-        timing: RequestTiming) -> "HQResult":
+def run(session: "HyperQSession", bound: r.Query) -> "HQResult":
     """Execute a query whose plan contains recursive CTEs."""
     plan = bound.plan
     if not isinstance(plan, r.With):
@@ -67,16 +65,16 @@ def run(session: "HyperQSession", bound: r.Query,
             cte_plan = _apply_redirects(cte.plan, redirects)
             if not cte.recursive:
                 # Non-recursive CTE: materialize once into a temp table.
-                schema = _materialize(session, cte.name, cte_plan, timing,
-                                      cleanup, target_sql, cte.column_names)
+                schema = _materialize(session, cte.name, cte_plan, cleanup,
+                                      target_sql, cte.column_names)
                 redirects[cte.name.upper()] = schema
                 continue
-            schema = _run_recursive(session, cte, cte_plan, timing, cleanup,
+            schema = _run_recursive(session, cte, cte_plan, cleanup,
                                     target_sql, redirects)
             redirects[cte.name.upper()] = schema
         body = _apply_redirects(body, redirects)
         final = r.Query(body)
-        result = session.run_translated(final, timing)
+        result = session.run_translated(final)
         result.target_sql = target_sql + result.target_sql
         return result
     finally:
@@ -114,46 +112,32 @@ def _renamed(plan: RelNode, schema: TableSchema) -> RelNode:
 
 
 def _create_temp_as(session: "HyperQSession", schema: TableSchema,
-                    plan: RelNode, timing: RequestTiming, cleanup: list[str],
+                    plan: RelNode, cleanup: list[str],
                     target_sql: list[str]) -> int:
     """CREATE TEMPORARY TABLE ... AS <plan>: the target infers column types
     itself, which keeps the emulation frontend-agnostic."""
-    statement = r.CreateTable(schema, _renamed(plan, schema))
-    with timing.measure("translation"):
-        session.transformer.transform(statement)
-        ddl = session.serializer.serialize(statement)
-    target_sql.append(ddl)
-    with timing.measure("execution"):
-        result = session.odbc.execute(ddl)
+    result = session.execute_statement(
+        r.CreateTable(schema, _renamed(plan, schema)), target_sql)
     cleanup.append(schema.name)
     return result.rowcount
 
 
 def _insert_from_plan(session: "HyperQSession", table: TableSchema,
-                      plan: RelNode, timing: RequestTiming,
-                      target_sql: list[str]) -> int:
-    statement = r.Insert(table.name, None, copy.deepcopy(plan))
-    with timing.measure("translation"):
-        session.transformer.transform(statement)
-        sql = session.serializer.serialize(statement)
-    target_sql.append(sql)
-    with timing.measure("execution"):
-        result = session.odbc.execute(sql)
-    return result.rowcount
+                      plan: RelNode, target_sql: list[str]) -> int:
+    return session.execute_statement(
+        r.Insert(table.name, None, copy.deepcopy(plan)), target_sql).rowcount
 
 
 def _materialize(session: "HyperQSession", name: str, plan: RelNode,
-                 timing: RequestTiming, cleanup: list[str],
-                 target_sql: list[str],
+                 cleanup: list[str], target_sql: list[str],
                  names: list[str] | None = None) -> TableSchema:
     schema = _temp_schema(session, name, plan, names)
-    _create_temp_as(session, schema, plan, timing, cleanup, target_sql)
+    _create_temp_as(session, schema, plan, cleanup, target_sql)
     return schema
 
 
 def _run_recursive(session: "HyperQSession", cte: r.CTEDef, cte_plan: RelNode,
-                   timing: RequestTiming, cleanup: list[str],
-                   target_sql: list[str],
+                   cleanup: list[str], target_sql: list[str],
                    redirects: dict[str, TableSchema]) -> TableSchema:
     branches = _flatten_union_all(cte_plan)
     if len(branches) < 2:
@@ -168,11 +152,10 @@ def _run_recursive(session: "HyperQSession", cte: r.CTEDef, cte_plan: RelNode,
 
     # Step 1: seed both WorkTable and TempTable (CTAS so the target infers
     # the scratch column types); DELTA starts empty.
-    _create_temp_as(session, work, seed, timing, cleanup, target_sql)
-    produced = _create_temp_as(session, temp, seed, timing, cleanup,
-                               target_sql)
-    _create_temp_as(session, delta, seed, timing, cleanup, target_sql)
-    _truncate(session, delta, timing, target_sql)
+    _create_temp_as(session, work, seed, cleanup, target_sql)
+    produced = _create_temp_as(session, temp, seed, cleanup, target_sql)
+    _create_temp_as(session, delta, seed, cleanup, target_sql)
+    _truncate(session, delta, target_sql)
 
     rounds = 0
     while produced:
@@ -184,22 +167,20 @@ def _run_recursive(session: "HyperQSession", cte: r.CTEDef, cte_plan: RelNode,
         produced = 0
         for term in recursive_terms:
             redirected = _redirect(term, cte.name, temp)
-            produced += _insert_from_plan(session, delta, redirected, timing,
+            produced += _insert_from_plan(session, delta, redirected,
                                           target_sql)
         # Step 3: append delta to WorkTable, move delta into TempTable.
         if produced:
             scan = r.Get(delta, None)
-            _insert_from_plan(session, work, scan, timing, target_sql)
-            _truncate(session, temp, timing, target_sql)
-            _insert_from_plan(session, temp, r.Get(delta, None), timing,
-                              target_sql)
-        _truncate(session, delta, timing, target_sql)
+            _insert_from_plan(session, work, scan, target_sql)
+            _truncate(session, temp, target_sql)
+            _insert_from_plan(session, temp, r.Get(delta, None), target_sql)
+        _truncate(session, delta, target_sql)
     return work
 
 
 def _truncate(session: "HyperQSession", table: TableSchema,
-              timing: RequestTiming, target_sql: list[str]) -> None:
+              target_sql: list[str]) -> None:
     sql = f"DELETE FROM {table.name}"
     target_sql.append(sql)
-    with timing.measure("execution"):
-        session.odbc.execute(sql)
+    session.odbc.execute(sql)

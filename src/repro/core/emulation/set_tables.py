@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 from typing import TYPE_CHECKING
 
-from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
 from repro.xtra import types as t
@@ -28,8 +27,8 @@ def _null_safe_equal(left: s.ColumnRef, right: s.ColumnRef) -> s.ScalarExpr:
     return s.BoolOp(s.BoolOpKind.OR, [s.Comp(s.CompOp.EQ, left, right), both_null])
 
 
-def run_insert(session: "HyperQSession", schema: TableSchema, bound: r.Insert,
-               timing: RequestTiming) -> "HQResult":
+def run_insert(session: "HyperQSession", schema: TableSchema,
+               bound: r.Insert) -> "HQResult":
     from repro.core.engine import HQResult
 
     target_columns = bound.columns or [col.name for col in schema.columns]
@@ -41,12 +40,7 @@ def run_insert(session: "HyperQSession", schema: TableSchema, bound: r.Insert,
     target_sql: list[str] = []
 
     def run_stmt(statement: r.Statement) -> int:
-        with timing.measure("translation"):
-            session.transformer.transform(statement)
-            sql = session.serializer.serialize(statement)
-        target_sql.append(sql)
-        with timing.measure("execution"):
-            return session.odbc.execute(sql).rowcount
+        return session.execute_statement(statement, target_sql).rowcount
 
     try:
         run_stmt(r.CreateTable(stage))
@@ -72,7 +66,7 @@ def run_insert(session: "HyperQSession", schema: TableSchema, bound: r.Insert,
              for name in target_columns],
             list(target_columns)))
         inserted = run_stmt(r.Insert(schema.name, list(target_columns), source))
-        return HQResult(kind="count", rowcount=inserted, timing=timing,
+        return HQResult(kind="count", rowcount=inserted,
                         target_sql=target_sql)
     finally:
         try:

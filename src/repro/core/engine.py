@@ -8,28 +8,30 @@ paper's pipeline (Figure 3):
 
 Statements the target cannot express are routed to the emulators in
 :mod:`repro.core.emulation`, which issue multiple target requests and keep
-mid-tier state. Per-request stage timings (Figure 9) and tracked-feature
-observations (Figure 8) are collected on the way through.
+mid-tier state. Every request runs under a trace whose spans are also its
+Figure 9 stage timings; tracked-feature observations (Figure 8) are
+collected on the way through.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import EmulationError, HyperQError, UnsupportedFeatureError
+from repro.errors import HyperQError, UnsupportedFeatureError
 from repro.backend.engine import Database
 from repro.core import deps as deps_mod
 from repro.core import trace as trace_mod
 from repro.core.budget import BatchBudget
-from repro.core.cache import CacheHit, Fingerprint, TranslationCache, fingerprint
+from repro.core.cache import Fingerprint, TranslationCache, fingerprint
 from repro.core.catalog import MacroDef, ProcedureDef, SessionCatalog, ShadowCatalog
 from repro.core.faults import ResilienceStats, RetryPolicy
 from repro.core.result_cache import ResultCache, ResultEntry
-from repro.core.timing import RequestTiming, TimingLog
+from repro.core.timing import RequestTiming
 from repro.core.trace import MetricsRegistry, TraceHub, render_trace
 from repro.core.tracker import FeatureTracker
 from repro.frontend.teradata import ast as td_ast
@@ -37,8 +39,9 @@ from repro.frontend.teradata.binder import Binder
 from repro.frontend.teradata.parser import TeradataParser
 from repro.odbc.api import OdbcResult, OdbcServer
 from repro.odbc.drivers import InProcessDriver
-from repro.protocol.encoding import ColumnMeta, decode_rows
-from repro.results.converter import ConvertedResult, ResultConverter
+from repro.protocol.encoding import ColumnMeta
+from repro.results.converter import (
+    ConvertedResult, ResultConverter, StreamingResult)
 from repro.serializer import serializer_for
 from repro.transform.capabilities import CapabilityProfile, HYPERION, PROFILES
 from repro.transform.engine import Transformer
@@ -63,15 +66,26 @@ class HQResult:
                  metas: Optional[list[ColumnMeta]] = None,
                  converted: Optional[ConvertedResult] = None,
                  rowcount: Optional[int] = None,
-                 timing: Optional[RequestTiming] = None,
                  target_sql: Optional[list[str]] = None):
         self.kind = kind  # "rows" | "count" | "ok"
         self.columns = columns if columns is not None else []
         self.metas = metas if metas is not None else []
         self.converted = converted
         self._rowcount = rowcount
-        self.timing = timing if timing is not None else RequestTiming()
         self.target_sql = target_sql if target_sql is not None else []
+        #: The trace of the request that produced this result.
+        self.trace = trace_mod.current_trace()
+
+    @property
+    def timing(self) -> RequestTiming:
+        """The Figure 9 view of this result's request: final once its
+        trace finished, read live while rows are still streaming."""
+        trace = self.trace
+        if trace is None:
+            return RequestTiming()
+        if trace.timing is not None:
+            return trace.timing
+        return RequestTiming.from_trace(trace)
 
     @property
     def rowcount(self) -> int:
@@ -175,8 +189,9 @@ class HyperQ:
         self.shadow = ShadowCatalog()
         self.tracker = tracker
         #: The observability layer: request traces, metric registry, sinks
-        #: (ring buffer, JSONL log, slow-query log). ``tracing=False`` keeps
-        #: the registry but records no spans (the overhead-bench baseline).
+        #: (ring buffer, JSONL log, slow-query log). Spans are always
+        #: recorded, since they are the Figure 9 timing; ``tracing=False``
+        #: turns off the sinks only.
         self.tracing = TraceHub(enabled=tracing, ring_size=trace_ring,
                                 trace_log=trace_log,
                                 slow_query_log=slow_query_log,
@@ -186,7 +201,8 @@ class HyperQ:
                                 id_stride=max(1, fleet_size))
         if tracker is not None and tracker.metrics is None:
             tracker.metrics = self.tracing.metrics
-        self.timing_log = TimingLog(metrics=self.tracing.metrics)
+        #: Figure 9 series: the timing view of every finished request.
+        self.timing_log = self.tracing.timing_log
         #: Multi-tenant control plane: a
         #: :class:`~repro.core.tenancy.TenantRegistry` (or a
         #: :class:`~repro.core.tenancy.TenancyConfig`, promoted here).
@@ -396,35 +412,45 @@ class HyperQSession:
         admin = _ADMIN_COMMAND_RE.match(sql)
         if admin is not None:
             return self._run_admin(admin)
-        with self.engine.tracing.request("request", sql):
-            tenant = self.tenant
-            if tenant is not None:
-                # Per-tenant tagging: a trace event on the request's root
-                # span and a per-tenant counter that the gateway's metric
-                # merge sums fleet-wide.
-                trace_mod.add_event("tenant", tenant=tenant)
-                metrics = self.engine.tracing.metrics
-                if metrics is not None:
-                    metrics.counter("hyperq_tenant_requests_total"
-                                    f'{{tenant="{tenant}"}}').inc()
-            return self._execute_traced(sql, parameters, named_parameters)
+        return self._traced(sql, self._execute_traced, sql, parameters,
+                            named_parameters)
+
+    def _traced(self, label: str, run, *args) -> HQResult:
+        """``run(*args)`` under its own request trace — or the wire
+        server's, when one is active. A result still streaming rows holds
+        its own trace open until the stream is exhausted or closed, so the
+        root covers the drain."""
+        hub = self.engine.tracing
+        with hub.request("request", label) as trace:
+            result = run(*args)
+            stream = result.converted
+            if trace is not None and isinstance(stream, StreamingResult) \
+                    and stream.streaming:
+                trace.held = True
+                stream.on_done = functools.partial(hub.finish_trace, trace)
+            return result
 
     def _execute_traced(self, sql: str, parameters,
                         named_parameters) -> HQResult:
+        tenant = self.tenant
+        if tenant is not None:
+            # Per-tenant tagging: a trace event on the request's root span
+            # and a per-tenant counter that the gateway's metric merge sums
+            # fleet-wide.
+            trace_mod.add_event("tenant", tenant=tenant)
+            self.engine.tracing.metrics.counter(
+                f'hyperq_tenant_requests_total{{tenant="{tenant}"}}').inc()
         if self.tracker is not None:
             self.tracker.begin_query()
         try:
-            timing = RequestTiming()
             fp, params_key, hit = self._cache_lookup(
-                sql, parameters, named_parameters, timing)
+                sql, parameters, named_parameters)
             if hit is not None:
                 if hit.result_shareable:
                     rc_key = self._result_cache_key(fp, params_key)
                     if rc_key is not None:
-                        replayed = self._result_cache_replay(rc_key, timing)
+                        replayed = self._result_cache_replay(rc_key)
                         if replayed is not None:
-                            replayed.timing = timing
-                            self.engine.timing_log.record(timing)
                             return replayed
                         # Re-materialize on this execution: the translation
                         # entry survived a result-cache eviction (or a data
@@ -432,37 +458,31 @@ class HyperQSession:
                         self._arm_result_capture(rc_key, hit.deps, hit.notes)
                 self._replay_notes(hit.notes)
                 try:
-                    with timing.measure("execution"):
-                        odbc_result = self.odbc.execute(hit.target_sql)
-                    result = self.package_result(
-                        odbc_result, timing, [hit.target_sql])
+                    return self.package_result(
+                        self.odbc.execute(hit.target_sql), [hit.target_sql])
                 finally:
                     self._pending_capture = None
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                return result
-            with timing.measure("translation"):
-                if self.ansi_frontend is not None:
-                    if parameters or named_parameters:
-                        raise HyperQError(
-                            "parameter binding is implemented for the "
-                            "Teradata frontend only")
-                    ast = None
-                    with trace_mod.span("parse"):
-                        bound = self.ansi_frontend.bind_statement(sql)
-                else:
-                    with trace_mod.span("parse", bytes=len(sql)):
-                        ast = self.parser.parse_statement(sql)
+            if self.ansi_frontend is not None:
+                if parameters or named_parameters:
+                    raise HyperQError(
+                        "parameter binding is implemented for the "
+                        "Teradata frontend only")
+                ast = None
+                with trace_mod.span("parse"):
+                    bound = self.ansi_frontend.bind_statement(sql)
+            else:
+                with trace_mod.span("parse", bytes=len(sql)):
+                    ast = self.parser.parse_statement(sql)
+                with trace_mod.span("bind"):
                     if parameters or named_parameters:
                         from repro.frontend.teradata.parameters import (
                             bind_parameters,
                         )
 
                         bind_parameters(ast, parameters, named_parameters)
-                    with trace_mod.span("bind"):
-                        bound = self.binder.bind(ast)
+                    bound = self.binder.bind(ast)
             cache_key = self._cacheable_key(fp, bound)
-            stmt_deps = self._extract_deps(bound, timing)
+            stmt_deps = self._extract_deps(bound)
             capture = None
             if cache_key is not None and isinstance(bound, r.Query) \
                     and stmt_deps is not None and stmt_deps.shareable:
@@ -470,15 +490,13 @@ class HyperQSession:
                 if rc_key is not None:
                     # Translation missed but the result may still be cached
                     # (the two caches evict independently).
-                    replayed = self._result_cache_replay(rc_key, timing)
+                    replayed = self._result_cache_replay(rc_key)
                     if replayed is not None:
-                        replayed.timing = timing
-                        self.engine.timing_log.record(timing)
                         return replayed
                     capture = self._arm_result_capture(
                         rc_key, stmt_deps.all_tables, None)
             try:
-                result = self._dispatch(bound, ast, timing)
+                result = self._dispatch(bound, ast)
             finally:
                 self._pending_capture = None
                 self._note_data_write(bound, stmt_deps)
@@ -486,11 +504,8 @@ class HyperQSession:
                 capture.notes = (self.tracker.current_notes()
                                  if self.tracker is not None else ())
             if cache_key is not None and len(result.target_sql) == 1:
-                with timing.measure("cache_lookup"):
-                    self._cache_insert(cache_key, fp, params_key,
-                                       result.target_sql[0], stmt_deps)
-            result.timing = timing
-            self.engine.timing_log.record(timing)
+                self._cache_insert(cache_key, fp, params_key,
+                                   result.target_sql[0], stmt_deps)
             return result
         finally:
             if self.tracker is not None:
@@ -505,19 +520,9 @@ class HyperQSession:
         returned per *executed* statement in that case.
         """
         if self.ansi_frontend is not None:
-            results = []
-            for spec in self.ansi_frontend.parse_script(sql):
-                timing = RequestTiming()
-                with timing.measure("translation"):
-                    bound = self.ansi_frontend.lower_spec(spec)
-                try:
-                    result = self._dispatch(bound, None, timing)
-                finally:
-                    self._note_data_write(bound)
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                results.append(result)
-            return results
+            return [self._traced(type(spec).__name__, self._bind_dispatch,
+                                 spec)
+                    for spec in self.ansi_frontend.parse_script(sql)]
         if _ADMIN_COMMAND_HINT_RE.search(sql) is not None:
             # Admin commands never reach the parser, so a script holding
             # one runs statement-by-statement through the intercept.
@@ -532,20 +537,27 @@ class HyperQSession:
         if self.tracker is not None:
             self.tracker.begin_query()
         try:
-            with self.engine.tracing.request("request", type(ast).__name__):
-                timing = RequestTiming()
-                with timing.measure("translation"), trace_mod.span("bind"):
-                    bound = self.binder.bind(ast)
-                try:
-                    result = self._dispatch(bound, ast, timing)
-                finally:
-                    self._note_data_write(bound)
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                return result
+            return self._traced(type(ast).__name__, self._bind_dispatch, ast)
         finally:
             if self.tracker is not None:
                 self.tracker.end_query()
+
+    def _bind_dispatch(self, statement) -> HQResult:
+        """Bind one parsed script statement (a Teradata AST or an ANSI
+        spec) and run it."""
+        with trace_mod.span("bind"):
+            if self.ansi_frontend is not None:
+                bound, ast = self.ansi_frontend.lower_spec(statement), None
+            else:
+                bound, ast = self.binder.bind(statement), statement
+        return self._dispatch_bound(bound, ast)
+
+    def _dispatch_bound(self, bound: r.Statement,
+                        ast: Optional[td_ast.TdStatement]) -> HQResult:
+        try:
+            return self._dispatch(bound, ast)
+        finally:
+            self._note_data_write(bound)
 
     def _execute_script_batched(self, statements) -> list[HQResult]:
         from repro.transform.rules.dml_batching import (
@@ -560,35 +572,25 @@ class HyperQSession:
                 return
             merged = batch_statements([bound for bound, __ in pending])
             for bound in merged:
-                timing = RequestTiming()
-                try:
-                    result = self._dispatch(bound, pending[0][1], timing)
-                finally:
-                    self._note_data_write(bound)
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                results.append(result)
+                results.append(self._traced(
+                    type(bound).__name__, self._dispatch_bound, bound,
+                    pending[0][1]))
             pending.clear()
 
         for ast in statements:
             if self.tracker is not None:
                 self.tracker.begin_query()
             try:
-                timing = RequestTiming()
-                with timing.measure("translation"):
-                    bound = self.binder.bind(ast)
+                # Binding decides batchability, so it runs before (and
+                # outside) the trace of the statement it may merge into.
+                bound = self.binder.bind(ast)
                 if isinstance(bound, r.Insert) and _is_batchable_insert(bound) \
                         and self._emulated_feature(bound) is None:
                     pending.append((bound, ast))
                     continue
                 flush()
-                try:
-                    result = self._dispatch(bound, ast, timing)
-                finally:
-                    self._note_data_write(bound)
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                results.append(result)
+                results.append(self._traced(
+                    type(ast).__name__, self._dispatch_bound, bound, ast))
             finally:
                 if self.tracker is not None:
                     self.tracker.end_query()
@@ -612,7 +614,7 @@ class HyperQSession:
                 self.tracker.end_query()
 
     def _translate_traced(self, sql: str) -> TranslationResult:
-        fp, params_key, hit = self._cache_lookup(sql, None, {}, None)
+        fp, params_key, hit = self._cache_lookup(sql, None, {})
         if hit is not None:
             self._replay_notes(hit.notes)
             return TranslationResult("sql", [hit.target_sql])
@@ -634,14 +636,9 @@ class HyperQSession:
         cache_key = self._cacheable_key(fp, bound)
         if isinstance(bound, (r.NoOp, r.SetSessionParam)):
             return TranslationResult("ok")
-        stmt_deps = (self._extract_deps(bound, None)
+        stmt_deps = (self._extract_deps(bound)
                      if cache_key is not None else None)
-        with trace_mod.span("transform"):
-            self.transformer.transform(bound)
-        with trace_mod.span("serialize") as span:
-            target_sql = self.serializer.serialize(bound)
-            if span is not None:
-                span.annotate("bytes", len(target_sql))
+        target_sql = self.target_sql_for(bound)
         if cache_key is not None:
             self._cache_insert(cache_key, fp, params_key, target_sql,
                                stmt_deps)
@@ -666,7 +663,6 @@ class HyperQSession:
         hub = self.engine.tracing
         fleet = self.engine.fleet
         what = match.group("what").upper()
-        timing = RequestTiming()
         if what == "METRICS":
             lines = None
             if fleet is not None:
@@ -686,13 +682,7 @@ class HyperQSession:
                 except Exception as exc:
                     lines = [f"# fleet aggregation unavailable: {exc}"]
             if lines is None:
-                lines = []
-                for trace_id in hub.trace_ids():
-                    trace = hub.get_trace(trace_id)
-                    if trace is not None:
-                        lines.append(
-                            f"{trace_id}\t{trace.spans[0].outcome}\t"
-                            f"{trace.duration * 1e3:.3f}ms\t{trace.sql[:80]}")
+                lines = hub.trace_index()
             lines = lines or ["(no traces recorded)"]
         elif what == "TENANTS":
             from repro.core import tenancy as tenancy_mod
@@ -709,7 +699,7 @@ class HyperQSession:
                     lines.append(f"# fleet aggregation unavailable: {exc}")
                     return self.fabricate_result(
                         ["LINE"], [t.varchar(2048)],
-                        [(line,) for line in lines], timing)
+                        [(line,) for line in lines])
             if report is None:
                 report = tenancy_mod.tenant_report(self.engine)
             lines = (tenancy_mod.render_tenants(report, workers).splitlines()
@@ -739,7 +729,7 @@ class HyperQSession:
                         f"(ids: {hub.trace_ids() or 'none'})")
                 lines = render_trace(trace)
         return self.fabricate_result(
-            ["LINE"], [t.varchar(2048)], [(line,) for line in lines], timing)
+            ["LINE"], [t.varchar(2048)], [(line,) for line in lines])
 
     # -- workload management ---------------------------------------------------------
 
@@ -792,8 +782,7 @@ class HyperQSession:
     #: mutation, mid-tier default evaluation) always bypass.
     _CACHEABLE_KINDS = (r.Query, r.Update, r.Delete)
 
-    def _cache_lookup(self, sql: str, parameters, named_parameters,
-                      timing: Optional[RequestTiming]):
+    def _cache_lookup(self, sql: str, parameters, named_parameters):
         """Fingerprint *sql* and probe the shared cache.
 
         Returns ``(fingerprint, params_key, hit)``; everything is ``None``
@@ -803,11 +792,7 @@ class HyperQSession:
         cache = self.engine.cache
         if cache is None or self.ansi_frontend is not None:
             return None, None, None
-        from contextlib import nullcontext
-
-        stage = (timing.measure("cache_lookup") if timing is not None
-                 else nullcontext())
-        with stage, trace_mod.span("cache_lookup") as span:
+        with trace_mod.span("cache_lookup") as span:
             try:
                 fp = cache.fingerprint_cached(sql, self.parser.lexer)
             except Exception:
@@ -846,10 +831,12 @@ class HyperQSession:
         deps = (stmt_deps.all_tables if stmt_deps is not None
                 else (deps_mod.WILDCARD,))
         shareable = stmt_deps.shareable if stmt_deps is not None else False
-        self.engine.cache.insert(key_base, fp, params_key, target_sql, notes,
-                                 deps=deps, result_shareable=shareable,
-                                 probe=self._probe_translate,
-                                 tenant=self.tenant)
+        with trace_mod.span("cache_insert"):
+            self.engine.cache.insert(key_base, fp, params_key, target_sql,
+                                     notes, deps=deps,
+                                     result_shareable=shareable,
+                                     probe=self._probe_translate,
+                                     tenant=self.tenant)
 
     def _replay_notes(self, notes) -> None:
         if self.tracker is not None:
@@ -858,19 +845,15 @@ class HyperQSession:
 
     # -- semantic dependencies and the result cache ------------------------------------
 
-    def _extract_deps(self, bound: r.Statement, timing):
-        """Dependency footprint of *bound* (timed as ``dependency_extract``).
+    def _extract_deps(self, bound: r.Statement):
+        """Dependency footprint of *bound* (a ``dependency_extract`` span).
 
         Extraction failures degrade to ``None`` — callers treat that as
         "unknown deps": wildcard translation entries, no result caching,
         no data bump (the schema channel still catches DDL).
         """
-        from contextlib import nullcontext
-
-        stage = (timing.measure("dependency_extract") if timing is not None
-                 else nullcontext())
         try:
-            with stage, trace_mod.span("dependency_extract") as span:
+            with trace_mod.span("dependency_extract") as span:
                 stmt_deps = deps_mod.extract(bound, self.catalog)
                 if span is not None:
                     span.annotate("tables", len(stmt_deps.all_tables))
@@ -889,7 +872,7 @@ class HyperQSession:
         """
         if isinstance(bound, (r.Insert, r.Update, r.Delete, r.Merge)):
             if stmt_deps is None:
-                stmt_deps = self._extract_deps(bound, None)
+                stmt_deps = self._extract_deps(bound)
             if stmt_deps is not None and stmt_deps.write_tables:
                 self.engine.shadow.bump_data(*stmt_deps.write_tables)
             elif stmt_deps is None:
@@ -907,7 +890,7 @@ class HyperQSession:
         return (self.engine.source, self.profile.name, fp.text,
                 fp.values_key(), params_key)
 
-    def _result_cache_replay(self, rc_key: tuple, timing) -> Optional[HQResult]:
+    def _result_cache_replay(self, rc_key: tuple) -> Optional[HQResult]:
         """Serve a materialized result with zero backend calls, or None.
 
         A hit replays the stored TDF packets through the normal Result
@@ -917,8 +900,7 @@ class HyperQSession:
         """
         rcache = self.engine.result_cache
         metrics = self.engine.tracing.metrics
-        with timing.measure("dependency_extract"), \
-                trace_mod.span("result_cache") as span:
+        with trace_mod.span("result_cache") as span:
             entry = rcache.lookup(rc_key, self.engine.shadow.version_vector)
             if span is not None:
                 span.annotate("hit", entry is not None)
@@ -929,13 +911,11 @@ class HyperQSession:
         if metrics is not None:
             metrics.counter("hyperq_result_cache_hits_total").inc()
         self._replay_notes(entry.notes)
-        with timing.measure("result_conversion"):
-            converted = self.converter.convert(list(entry.packets),
-                                               list(entry.types))
-        timing.mark_first_row()
+        converted = self.converter.convert(list(entry.packets),
+                                           list(entry.types))
         return HQResult(
             kind="rows", columns=list(entry.columns), metas=converted.metas,
-            converted=converted, rowcount=converted.rowcount, timing=timing,
+            converted=converted, rowcount=converted.rowcount,
             target_sql=[entry.target_sql] if entry.target_sql else [],
         )
 
@@ -952,7 +932,7 @@ class HyperQSession:
         return capture
 
     def _capturing_batches(self, capture, packets, columns, types,
-                           target_sql: str, timing=None):
+                           target_sql: str):
         """Tee the streamed TDF packets into a result-cache entry.
 
         Accumulation aborts (and counts a reject) the moment the running
@@ -981,12 +961,15 @@ class HyperQSession:
             columns=tuple(columns), types=tuple(types),
             packets=tuple(collected), notes=tuple(notes),
             deps=capture.deps, vector=capture.vector, target_sql=target_sql)
-        backend_ms = timing.execution * 1e3 if timing is not None else 0.0
-        if rcache.insert(capture.key, entry, tenant=self.tenant,
-                         backend_ms=backend_ms):
-            metrics = self.engine.tracing.metrics
-            if metrics is not None:
-                metrics.counter("hyperq_result_cache_inserts_total").inc()
+        trace = trace_mod.current_trace()
+        backend_ms = (RequestTiming.from_trace(trace).execution * 1e3
+                      if trace is not None else 0.0)
+        with trace_mod.span("result_cache"):
+            inserted = rcache.insert(capture.key, entry, tenant=self.tenant,
+                                     backend_ms=backend_ms)
+        if inserted:
+            self.engine.tracing.metrics.counter(
+                "hyperq_result_cache_inserts_total").inc()
 
     def _probe_translate(self, probe_sql: str) -> str:
         """Run the full pipeline over sentinel SQL, tracker-free.
@@ -1038,72 +1021,60 @@ class HyperQSession:
         self._temp_counter += 1
         return f"_HQ_{prefix}_{self._temp_counter}"
 
-    def run_translated(self, bound: r.Statement, timing: RequestTiming) -> HQResult:
+    def target_sql_for(self, bound: r.Statement) -> str:
+        """Transform + serialize one statement for the target."""
+        with trace_mod.span("transform"):
+            self.transformer.transform(bound)
+        with trace_mod.span("serialize") as span:
+            sql = self.serializer.serialize(bound)
+            if span is not None:
+                span.annotate("bytes", len(sql))
+        return sql
+
+    def execute_statement(self, bound: r.Statement,
+                          target_sql: list[str]) -> OdbcResult:
+        """Translate and execute one emulator-built statement, recording
+        its target SQL in *target_sql* (emulator building block)."""
+        sql = self.target_sql_for(bound)
+        target_sql.append(sql)
+        return self.odbc.execute(sql)
+
+    def run_translated(self, bound: r.Statement) -> HQResult:
         """Transform + serialize + execute one statement on the target."""
-        with timing.measure("translation"):
-            with trace_mod.span("transform"):
-                self.transformer.transform(bound)
-            with trace_mod.span("serialize") as span:
-                sql = self.serializer.serialize(bound)
-                if span is not None:
-                    span.annotate("bytes", len(sql))
-        with timing.measure("execution"):
-            odbc_result = self.odbc.execute(sql)
-        return self.package_result(odbc_result, timing, [sql])
+        sql = self.target_sql_for(bound)
+        return self.package_result(self.odbc.execute(sql), [sql])
 
-    def run_target_sql(self, sql: str, timing: RequestTiming) -> OdbcResult:
-        """Execute already-serialized target SQL (emulator building block)."""
-        with timing.measure("execution"):
-            return self.odbc.execute(sql)
-
-    def package_result(self, odbc_result: OdbcResult, timing: RequestTiming,
+    def package_result(self, odbc_result: OdbcResult,
                        target_sql: list[str]) -> HQResult:
         """Set up the TDF -> source-binary conversion path on a target result.
 
         The returned result streams: TDF packets are pulled from the ODBC
         Server and converted chunk by chunk as the caller consumes them, so
         no layer holds more than one batch (plus the bounded Result Store,
-        if the consumer buffers). Backend pull time lands in the
-        ``execution`` timing stage, decode/encode in ``result_conversion``.
+        if the consumer buffers).
         """
         capture, self._pending_capture = self._pending_capture, None
         if odbc_result.kind != "rows":
             return HQResult(kind=odbc_result.kind, rowcount=odbc_result.rowcount,
-                            timing=timing, target_sql=target_sql)
-        packets = self._timed_batches(odbc_result, timing)
+                            target_sql=target_sql)
+        packets = odbc_result.fetch_batches()
         if capture is not None and self.engine.result_cache is not None:
             packets = self._capturing_batches(
                 capture, packets, odbc_result.columns,
                 odbc_result.column_types,
-                target_sql[0] if len(target_sql) == 1 else "",
-                timing=timing)
+                target_sql[0] if len(target_sql) == 1 else "")
         converted = self.converter.convert_stream(
-            packets,
-            odbc_result.column_types,
-            timing=timing,
-            on_first_chunk=timing.mark_first_row)
+            packets, odbc_result.column_types)
         return HQResult(
             kind="rows",
             columns=odbc_result.columns,
             metas=converted.metas,
             converted=converted,
-            timing=timing,
             target_sql=target_sql,
         )
 
-    @staticmethod
-    def _timed_batches(odbc_result: OdbcResult, timing: RequestTiming):
-        """Charge lazy backend batch pulls to the ``execution`` stage."""
-        source = odbc_result.fetch_batches()
-        while True:
-            with timing.measure("execution"):
-                packet = next(source, None)
-            if packet is None:
-                return
-            yield packet
-
     def fabricate_result(self, columns: list[str], types: list[t.SQLType],
-                         rows: list[tuple], timing: RequestTiming,
+                         rows: list[tuple],
                          target_sql: Optional[list[str]] = None) -> HQResult:
         """Build a result entirely in the mid-tier (HELP/SHOW commands),
         still flowing through TDF + conversion so the client sees the same
@@ -1111,11 +1082,10 @@ class HyperQSession:
         from repro import tdf as tdf_mod
 
         batches = list(tdf_mod.batches_of(columns, rows))
-        with timing.measure("result_conversion"):
-            converted = self.converter.convert(batches, types)
+        converted = self.converter.convert(batches, types)
         return HQResult(
             kind="rows", columns=columns, metas=converted.metas,
-            converted=converted, rowcount=converted.rowcount, timing=timing,
+            converted=converted, rowcount=converted.rowcount,
             target_sql=target_sql or [],
         )
 
@@ -1152,105 +1122,102 @@ class HyperQSession:
             return "volatile_table"
         return None
 
-    def _dispatch(self, bound: r.Statement, ast: td_ast.TdStatement,
-                  timing: RequestTiming) -> HQResult:
+    def _dispatch(self, bound: r.Statement,
+                  ast: Optional[td_ast.TdStatement]) -> HQResult:
         from repro.core.emulation import (
             column_props, help_commands, macros, merge, procedures, recursive,
             set_tables, views,
         )
 
         if isinstance(bound, r.NoOp):
-            return HQResult(kind="ok", timing=timing)
+            return HQResult(kind="ok")
         if isinstance(bound, r.SetSessionParam):
             self.session_params[bound.name.upper()] = bound.value
-            return HQResult(kind="ok", timing=timing)
+            return HQResult(kind="ok")
         if isinstance(bound, r.Transaction):
-            with timing.measure("execution"):
-                self.odbc.execute(bound.action)
-            return HQResult(kind="ok", timing=timing)
+            self.odbc.execute(bound.action)
+            return HQResult(kind="ok")
         if isinstance(bound, (r.HelpCommand, r.ShowCommand)):
             self._note("help_command")
-            return help_commands.run(self, bound, timing)
+            return help_commands.run(self, bound)
 
         if isinstance(bound, r.Query):
             if not self.profile.recursive_cte and _has_recursive_cte(bound.plan):
                 self._note("recursive_query")
-                return recursive.run(self, bound, timing)
-            return self.run_translated(bound, timing)
+                return recursive.run(self, bound)
+            return self.run_translated(bound)
 
         if isinstance(bound, r.Insert):
-            return self._dispatch_insert(bound, timing, column_props,
-                                         set_tables, views)
+            return self._dispatch_insert(bound, column_props, set_tables,
+                                         views)
         if isinstance(bound, (r.Update, r.Delete)):
             if not self.profile.updatable_views and self.catalog.is_view(bound.table):
                 self._note("dml_on_view")
-                return views.run_dml(self, bound, timing)
-            return self.run_translated(bound, timing)
+                return views.run_dml(self, bound)
+            return self.run_translated(bound)
 
         if isinstance(bound, r.Merge):
             if self.profile.merge_statement:
-                return self.run_translated(bound, timing)
+                return self.run_translated(bound)
             self._note("merge_statement")
-            return merge.run(self, bound, timing)
+            return merge.run(self, bound)
 
         if isinstance(bound, r.CreateTable):
-            return self._dispatch_create_table(bound, timing)
+            return self._dispatch_create_table(bound)
         if isinstance(bound, r.DropTable):
-            return self._dispatch_drop_table(bound, timing)
+            return self._dispatch_drop_table(bound)
         if isinstance(bound, r.CreateView):
-            return self._dispatch_create_view(bound, timing)
+            return self._dispatch_create_view(bound)
         if isinstance(bound, r.DropView):
             self.engine.shadow.drop_view(bound.name)
-            with timing.measure("execution"):
-                self.odbc.execute(f"DROP VIEW {bound.name}")
-            return HQResult(kind="ok", timing=timing)
+            self.odbc.execute(f"DROP VIEW {bound.name}")
+            return HQResult(kind="ok")
 
         if isinstance(bound, r.CreateMacro):
             self._note("macro")
             self.engine.shadow.add_macro(
                 MacroDef(bound.name, bound.parameters, bound.body_sql),
                 replace=bound.replace)
-            return HQResult(kind="ok", timing=timing)
+            return HQResult(kind="ok")
         if isinstance(bound, r.DropMacro):
             self._note("macro")
             self.engine.shadow.drop_macro(bound.name)
-            return HQResult(kind="ok", timing=timing)
+            return HQResult(kind="ok")
         if isinstance(bound, r.ExecMacro):
             self._note("macro")
-            return macros.run(self, bound, timing)
+            return macros.run(self, bound)
 
         if isinstance(bound, r.CreateProcedure):
             self._note("stored_procedure")
             self.engine.shadow.add_procedure(
                 ProcedureDef(bound.name, bound.parameters, bound.body),
                 replace=bound.replace)
-            return HQResult(kind="ok", timing=timing)
+            return HQResult(kind="ok")
         if isinstance(bound, r.DropProcedure):
             self._note("stored_procedure")
             self.engine.shadow.drop_procedure(bound.name)
-            return HQResult(kind="ok", timing=timing)
+            return HQResult(kind="ok")
         if isinstance(bound, r.CallProcedure):
             self._note("stored_procedure")
-            return procedures.run(self, bound, timing)
+            return procedures.run(self, bound)
 
         raise UnsupportedFeatureError(
             f"no execution path for {type(bound).__name__}")
 
-    def _dispatch_insert(self, bound: r.Insert, timing: RequestTiming,
-                         column_props, set_tables, views) -> HQResult:
+    def _dispatch_insert(self, bound: r.Insert, column_props, set_tables,
+                         views) -> HQResult:
         if not self.profile.updatable_views and self.catalog.is_view(bound.table):
             self._note("dml_on_view")
-            return views.run_dml(self, bound, timing)
+            return views.run_dml(self, bound)
         schema = self.catalog.resolve(bound.table)
         if schema is not None:
             bound = column_props.fill_nonconstant_defaults(self, schema, bound)
             if schema.set_semantics and not self.profile.set_tables:
                 self._note("set_table")
-                return set_tables.run_insert(self, schema, bound, timing)
-        return self.run_translated(bound, timing)
+                return set_tables.run_insert(self, schema, bound)
+        return self.run_translated(bound)
 
-    def _dispatch_create_table(self, bound: r.CreateTable,
-                               timing: RequestTiming) -> HQResult:
+    def _dispatch_create_table(self, bound: r.CreateTable) -> HQResult:
         from repro.core.emulation import column_props
 
         schema = bound.schema
@@ -1267,21 +1234,17 @@ class HyperQSession:
             self.catalog.add_volatile(schema)
         else:
             self.engine.shadow.add_table(schema)
-        result = self.run_translated(bound, timing)
-        return result
+        return self.run_translated(bound)
 
-    def _dispatch_drop_table(self, bound: r.DropTable,
-                             timing: RequestTiming) -> HQResult:
+    def _dispatch_drop_table(self, bound: r.DropTable) -> HQResult:
         if self.catalog.is_volatile(bound.name):
             self.catalog.drop_volatile(bound.name)
         else:
             self.engine.shadow.drop_table(bound.name)
-        with timing.measure("execution"):
-            self.odbc.execute(f"DROP TABLE {bound.name}")
-        return HQResult(kind="ok", timing=timing)
+        self.odbc.execute(f"DROP TABLE {bound.name}")
+        return HQResult(kind="ok")
 
-    def _dispatch_create_view(self, bound: r.CreateView,
-                              timing: RequestTiming) -> HQResult:
+    def _dispatch_create_view(self, bound: r.CreateView) -> HQResult:
         columns = [ColumnSchema(name, col.type)
                    for name, col in zip(bound.column_names or [],
                                         bound.plan.output_columns())]
@@ -1295,7 +1258,7 @@ class HyperQSession:
         closure = deps_mod.view_closure(bound.plan, self.catalog)
         self.engine.shadow.add_view(schema, replace=bound.replace,
                                     deps=closure)
-        return self.run_translated(bound, timing)
+        return self.run_translated(bound)
 
 
 class _ResultCapture:

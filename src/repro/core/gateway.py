@@ -513,16 +513,6 @@ class _FleetClient:
         return self._rpc.call("tenants")
 
 
-def _trace_index_lines(hub) -> list[str]:
-    lines = []
-    for trace_id in hub.trace_ids():
-        trace = hub.get_trace(trace_id)
-        if trace is not None:
-            lines.append(f"{trace_id}\t{trace.spans[0].outcome}\t"
-                         f"{trace.duration * 1e3:.3f}ms\t{trace.sql[:80]}")
-    return lines
-
-
 def _worker_main(config: GatewayConfig, index: int, generation: int,
                  run_dir: str, close_fds: tuple[int, ...]) -> None:
     """Entry point of one gateway worker process."""
@@ -617,7 +607,7 @@ def _worker_main(config: GatewayConfig, index: int, generation: int,
         if op == "metrics_state":
             return hub.metrics.dump_state()
         if op == "trace_index":
-            return _trace_index_lines(hub)
+            return hub.trace_index()
         if op == "get_trace":
             trace = hub.get_trace(request[1])
             return render_trace(trace) if trace is not None else None
@@ -1148,7 +1138,3 @@ class Gateway:
     @property
     def restarts(self) -> dict[int, int]:
         return dict(self._restarts)
-
-    def alive_workers(self) -> list[int]:
-        with self._lock:
-            return sorted(self._alive)

@@ -54,12 +54,8 @@ from repro.errors import (
 )
 from repro.core import faults as flt
 from repro.core import trace as trace_mod
-from repro.core.workload import (
-    ADMIN,
-    HISTOGRAM_BOUNDS,
-    LatencyHistogram,
-    TokenBucket,
-)
+from repro.core.trace import Histogram
+from repro.core.workload import ADMIN, TokenBucket
 
 #: The tenant a connection lands on when it presents no tenant id.
 DEFAULT_TENANT = "default"
@@ -284,7 +280,7 @@ class _TenantState:
         self.running = 0
         self.queued = 0
         self.counts = {name: 0 for name in self.COUNTS}
-        self.queue_wait = LatencyHistogram()
+        self.queue_wait = Histogram()
         self.arrivals: deque[float] = deque()
 
 
@@ -449,7 +445,7 @@ class TenantRegistry:
                     "running": state.running,
                     "queued": state.queued,
                     "qps": arrivals / QPS_WINDOW,
-                    "queue_wait": state.queue_wait.snapshot(),
+                    "queue_wait": state.queue_wait.state_dict(),
                 }
             return report
 
@@ -457,22 +453,12 @@ class TenantRegistry:
 # -- fleet-wide reporting ------------------------------------------------------------
 
 
-def histogram_quantile(snapshot: dict, fraction: float) -> float:
-    """Upper-bound estimate of a quantile from a
-    :class:`~repro.core.workload.LatencyHistogram` snapshot (the last,
-    unbounded bucket reports the observed max)."""
-    count = snapshot.get("count", 0)
-    if not count:
+def histogram_quantile(state: dict, fraction: float) -> float:
+    """Quantile estimate from a :meth:`Histogram.state_dict` (0.0 when
+    nothing was observed)."""
+    if not state.get("count"):
         return 0.0
-    target = fraction * count
-    cumulative = 0
-    for index, bucket in enumerate(snapshot["buckets"]):
-        cumulative += bucket
-        if cumulative >= target:
-            if index < len(HISTOGRAM_BOUNDS):
-                return HISTOGRAM_BOUNDS[index]
-            break
-    return snapshot.get("max", HISTOGRAM_BOUNDS[-1])
+    return Histogram().merge_state_dict(state).quantile(fraction)
 
 
 def tenant_report(engine) -> dict[str, dict]:
@@ -502,8 +488,8 @@ def tenant_report(engine) -> dict[str, dict]:
 
 def merge_reports(reports) -> dict[str, dict]:
     """Sum per-worker tenant reports into one fleet-wide view: counters,
-    gauges, QPS, and cache bytes add; queue-wait histograms merge
-    bucket-wise (max of maxes)."""
+    gauges, QPS, and cache bytes add; queue-wait histograms merge by
+    bucket addition."""
     merged: dict[str, dict] = {}
     for report in reports:
         for tenant, stats in report.items():
@@ -516,16 +502,8 @@ def merge_reports(reports) -> dict[str, dict]:
                 continue
             for key, value in stats.items():
                 if key == "queue_wait":
-                    hist = into["queue_wait"]
-                    hist["buckets"] = [a + b for a, b in zip(
-                        hist["buckets"], value["buckets"])]
-                    total = hist["count"] + value["count"]
-                    if total:
-                        hist["mean"] = (
-                            hist["mean"] * hist["count"]
-                            + value["mean"] * value["count"]) / total
-                    hist["count"] = total
-                    hist["max"] = max(hist["max"], value["max"])
+                    into[key] = (Histogram().merge_state_dict(into[key])
+                                 .merge_state_dict(value).state_dict())
                 else:
                     into[key] = into.get(key, 0) + value
     return merged

@@ -1,112 +1,140 @@
 """Per-request timing breakdown (the instrumentation behind Figure 9).
 
-The paper reports three components of end-to-end response time:
+The paper splits response time into query translation, execution in the
+target database, and result transformation. The reproduction adds cache
+lookup, dependency extraction (plus result-cache bookkeeping), queue wait
+(classification plus admission queueing) and protocol (wire decode and
+encode).
 
-* *query translation* — parse + bind + transform + serialize inside Hyper-Q,
-* *execution* — time spent in the target database,
-* *result transformation* — TDF decode + conversion to the source binary
-  format.
+Every stage is read off the request's span tree (:mod:`repro.core.trace`):
+:data:`STAGE_OF` assigns each span name to one stage, and
+:meth:`RequestTiming.from_trace` charges each span's *exclusive* time — its
+duration minus its children's — to its stage. The stages plus the root's
+own exclusive time (work no span covers) add up to the root's duration.
+*First row* is a mark on the trace, not a stage, so it is never folded
+into ``total``.
 
-The reproduction adds a fourth, *cache lookup* — fingerprinting plus
-translation-cache probe/insert time — so memoized requests keep the Figure 9
-instrumentation honest: a cache hit reports near-zero translation time but
-still accounts for the lookup work it did.
-
-The workload manager adds *queue wait*: time a request spent in its class's
-admission queue before a worker picked it up. It accumulates into ``total``
-and ``overhead`` — queueing is proxy-imposed latency the application would
-not see against the original warehouse.
-
-The streaming result pipeline adds *first row*: the latency from request
-start until the first converted chunk is available to the wire. It is a
-point-in-time mark, not an accumulating stage — it overlaps translation and
-execution — so it is reported separately and never folded into ``total``.
-
-:class:`RequestTiming` collects these for one request; :class:`TimingLog`
-aggregates them across a workload run. A log constructed with a
-:class:`~repro.core.trace.MetricsRegistry` additionally feeds per-stage
-latency histograms (``hyperq_stage_seconds_<stage>``) and the request
-counter on every record, so the Figure 9 instrumentation and the
-observability layer read from one stream.
+:class:`TimingLog` aggregates finished requests: exact per-stage totals
+plus a bounded window of recent views, mirrored into the
+``hyperq_stage_seconds_<stage>`` histograms when it has a registry.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+import threading
+from collections import deque
+from dataclasses import dataclass, fields
 from typing import Optional
 
-#: Stage names accepted by :meth:`RequestTiming.measure`.
+#: Stages of the Figure 9 breakdown, in reporting order.
 STAGES = ("translation", "execution", "result_conversion", "cache_lookup",
-          "dependency_extract", "queue_wait")
+          "dependency_extract", "queue_wait", "protocol")
+
+#: The stage of every span name emitted by the pipeline; ``rule:<name>``
+#: spans (rewrite rules, children of ``transform``) are translation too.
+STAGE_OF = {name: stage for stage, names in (
+    ("translation", ("parse", "bind", "transform", "serialize")),
+    ("execution", ("odbc_execute", "attempt", "replica_attempt",
+                   "backend_fetch")),
+    ("result_conversion", ("result_convert",)),
+    ("cache_lookup", ("cache_lookup", "cache_insert")),
+    ("dependency_extract", ("dependency_extract", "result_cache")),
+    ("queue_wait", ("classify", "queue_wait")),
+    ("protocol", ("protocol_decode", "wire_encode")),
+) for name in names}
+
+
+def stage_of(name: str) -> Optional[str]:
+    """The Figure 9 stage a span named *name* is charged to (None for a
+    name outside the pipeline, which no stage counts)."""
+    if name.startswith("rule:"):
+        return "translation"
+    return STAGE_OF.get(name)
+
+
+def exclusive_times(spans) -> list[float]:
+    """Each span's own time (duration minus its children's durations) for
+    a trace's span list; a ``synthetic`` attribute adds simulated seconds
+    (injected queue age) to the span that stands for them."""
+    own = [span.duration + span.attrs.get("synthetic", 0.0)
+           for span in spans]
+    for span in spans[1:]:
+        own[span.parent_id] -= span.duration
+    return own
 
 
 @dataclass
 class RequestTiming:
-    """Wall-clock seconds spent in each pipeline stage for one request."""
+    """Seconds spent in each pipeline stage for one request."""
 
     translation: float = 0.0
     execution: float = 0.0
     result_conversion: float = 0.0
     cache_lookup: float = 0.0
-    #: Dependency extraction over the bound plan plus result-cache
-    #: bookkeeping (0.0 when the semantic layers are disabled).
     dependency_extract: float = 0.0
-    #: Time spent queued in the workload manager before execution began
-    #: (0.0 when no workload manager is configured).
     queue_wait: float = 0.0
-    #: Latency from request start to the first converted chunk (0.0 until
-    #: :meth:`mark_first_row` fires; excluded from :attr:`total`).
+    protocol: float = 0.0
+    #: Latency from request start to the first converted chunk (0.0 when
+    #: no rows were produced or read yet; excluded from :attr:`total`).
     first_row: float = 0.0
-    started: float = field(default_factory=time.perf_counter, repr=False,
-                           compare=False)
+
+    @classmethod
+    def from_trace(cls, trace) -> "RequestTiming":
+        """The view of *trace*: each non-root span's exclusive time summed
+        into its stage. On a trace still running, open spans count zero."""
+        view = cls(first_row=trace.first_row)
+        spans = list(trace.spans)
+        for span, own in zip(spans[1:], exclusive_times(spans)[1:]):
+            stage = stage_of(span.name)
+            if stage is not None:
+                setattr(view, stage, getattr(view, stage) + own)
+        return view
 
     @property
     def total(self) -> float:
-        return (self.translation + self.execution + self.result_conversion
-                + self.cache_lookup + self.dependency_extract
-                + self.queue_wait)
-
-    @property
-    def overhead(self) -> float:
-        """Hyper-Q's share of the request (everything but execution)."""
-        return (self.translation + self.result_conversion + self.cache_lookup
-                + self.dependency_extract + self.queue_wait)
+        return sum(getattr(self, stage) for stage in STAGES)
 
     @property
     def overhead_fraction(self) -> float:
-        return self.overhead / self.total if self.total else 0.0
-
-    @contextmanager
-    def measure(self, stage: str):
-        """Accumulate elapsed time into one of the stage buckets."""
-        if stage not in STAGES:
-            raise ValueError(f"unknown timing stage {stage!r}")
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            setattr(self, stage, getattr(self, stage) + elapsed)
-
-    def mark_first_row(self) -> None:
-        """Record time-to-first-row once; later calls are no-ops."""
-        if not self.first_row:
-            self.first_row = time.perf_counter() - self.started
+        """Hyper-Q's share of the request (everything but execution)."""
+        total = self.total
+        return (total - self.execution) / total if total else 0.0
 
 
-@dataclass
 class TimingLog:
-    """Aggregated timings across many requests (Figure 9 series)."""
+    """Aggregated timings across many requests (Figure 9 series).
 
-    requests: list[RequestTiming] = field(default_factory=list)
-    #: Optional :class:`~repro.core.trace.MetricsRegistry` mirrored into on
-    #: every :meth:`record` (typed loosely to keep this module import-light).
-    metrics: Optional[object] = field(default=None, repr=False, compare=False)
+    Totals are exact over every recorded request; :attr:`requests` holds
+    only the most recent *window* views, so a long-running server's log
+    stays bounded.
+    """
+
+    def __init__(self, window: int = 256, metrics: Optional[object] = None):
+        #: Optional :class:`~repro.core.trace.MetricsRegistry` fed on every
+        #: :meth:`record` (typed loosely to keep this module import-light).
+        self.metrics = metrics
+        self._window = window
+        self._lock = threading.Lock()
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every recorded request (histograms keep theirs)."""
+        with self._lock:
+            self._totals = RequestTiming()
+            self._recent: deque[RequestTiming] = deque(maxlen=self._window)
+            self.count = 0
+            self._first_rows = 0
 
     def record(self, timing: RequestTiming) -> None:
-        self.requests.append(timing)
+        with self._lock:
+            self.count += 1
+            self._recent.append(timing)
+            for field in fields(RequestTiming):
+                name = field.name
+                setattr(self._totals, name,
+                        getattr(self._totals, name) + getattr(timing, name))
+            if timing.first_row:
+                self._first_rows += 1
         registry = self.metrics
         if registry is None:
             return
@@ -122,53 +150,36 @@ class TimingLog:
                 timing.first_row)
 
     @property
-    def translation(self) -> float:
-        return sum(t.translation for t in self.requests)
+    def requests(self) -> list[RequestTiming]:
+        """The most recent views, oldest first."""
+        with self._lock:
+            return list(self._recent)
 
-    @property
-    def execution(self) -> float:
-        return sum(t.execution for t in self.requests)
-
-    @property
-    def result_conversion(self) -> float:
-        return sum(t.result_conversion for t in self.requests)
-
-    @property
-    def cache_lookup(self) -> float:
-        return sum(t.cache_lookup for t in self.requests)
-
-    @property
-    def dependency_extract(self) -> float:
-        return sum(t.dependency_extract for t in self.requests)
-
-    @property
-    def queue_wait(self) -> float:
-        return sum(t.queue_wait for t in self.requests)
+    def __getattr__(self, name: str) -> float:
+        # Per-stage totals: ``log.translation``, ``log.queue_wait``, ...
+        if name in STAGES:
+            return getattr(self._totals, name)
+        raise AttributeError(name)
 
     @property
     def mean_first_row(self) -> float:
         """Mean time-to-first-row across requests that produced rows."""
-        marked = [t.first_row for t in self.requests if t.first_row]
-        return sum(marked) / len(marked) if marked else 0.0
+        with self._lock:
+            if not self._first_rows:
+                return 0.0
+            return self._totals.first_row / self._first_rows
 
     @property
     def total(self) -> float:
-        return (self.translation + self.execution + self.result_conversion
-                + self.cache_lookup + self.dependency_extract
-                + self.queue_wait)
+        return self._totals.total
 
     def breakdown(self) -> dict[str, float]:
         """Fractions of end-to-end time per stage (sums to 1.0)."""
         total = self.total
-        if not total:
-            return {stage: 0.0 for stage in STAGES}
-        return {stage: getattr(self, stage) / total for stage in STAGES}
+        return {stage: getattr(self._totals, stage) / total if total else 0.0
+                for stage in STAGES}
 
     @property
     def overhead_fraction(self) -> float:
         """Hyper-Q overhead as a fraction of end-to-end time (Figure 9)."""
-        total = self.total
-        if not total:
-            return 0.0
-        return (self.translation + self.result_conversion + self.cache_lookup
-                + self.dependency_extract + self.queue_wait) / total
+        return self._totals.overhead_fraction

@@ -2,18 +2,21 @@
 
 Hyper-Q sits invisibly on the wire while rewriting every request — which
 makes it exactly the kind of system you cannot debug or tune blind. This
-module gives every wire request a **trace**: a tree of spans covering the
-pipeline of Figure 3 (protocol decode → parse → bind → transform → serialize
-→ cache lookup → admission wait → ODBC execute → convert → wire encode),
-each span carrying its duration, byte/row counts, and outcome. Rewrite rules
-that fire appear as child spans of ``transform`` with before/after XTRA
-digests; emulator child statements, retries, and failovers appear as child
-spans of ``execution`` via context propagation.
+module gives every request a **trace**: a tree of spans covering the
+pipeline of Figure 3 (protocol decode → cache lookup → parse → bind →
+transform → serialize → admission wait → ODBC execute → backend fetch →
+convert → wire encode), each span carrying its duration, byte/row counts,
+and outcome. Rewrite rules that fire appear as child spans of ``transform``
+with before/after XTRA digests; emulator child statements, retries, and
+failovers appear as further spans via context propagation.
+
+The span tree is also the only timing stream: the Figure 9 breakdown
+(:class:`~repro.core.timing.RequestTiming`) is a read-only view of it,
+derived when the trace finishes. Spans are therefore always recorded;
+``TraceHub(enabled=False)`` only turns off the sinks below.
 
 Alongside traces, a :class:`MetricsRegistry` holds process-wide counters,
-gauges, and mergeable log-linear histograms (p50/p95/p99) — the single home
-for the ad-hoc counters that used to live in :mod:`repro.core.timing` and
-:mod:`repro.core.tracker`.
+gauges, and mergeable log-linear histograms (p50/p95/p99).
 
 Sinks (owned by :class:`TraceHub`, one per engine, typically one per
 process):
@@ -27,9 +30,9 @@ process):
 Context propagation uses a :mod:`contextvars` variable holding the active
 span. Worker threads (the workload manager's pool, converter encode workers)
 start with an empty context; callers hand the active span across explicitly
-with :func:`activate`. When no trace is active every instrumentation point
-degrades to a cheap no-op, which is what keeps the warm-cache hot path
-within the ~5% overhead budget (``benchmarks/bench_trace_overhead.py``).
+with :func:`activate`, and a lazily drained result stream re-enters its
+request's trace with :func:`resume`. Outside any trace every
+instrumentation point is a cheap no-op.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ import threading
 import time
 import weakref
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
+
+from repro.core.timing import RequestTiming, TimingLog
 
 #: The active span for the current thread/context (None = not tracing).
 _ACTIVE: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
@@ -115,7 +120,11 @@ class Span:
 
 
 class Trace:
-    """One request's span tree, identified by a hub-scoped integer id."""
+    """One request's span tree, identified by a hub-scoped integer id.
+
+    Span ids are positions in :attr:`spans` (allocated and appended under
+    one lock), so a span's parent is ``spans[span.parent_id]``.
+    """
 
     def __init__(self, trace_id: int, name: str, sql: str = ""):
         self.trace_id = trace_id
@@ -127,6 +136,14 @@ class Trace:
         self._lock = threading.Lock()
         self.spans: list[Span] = []
         self.done = False
+        #: Seconds from trace start until the first converted chunk was
+        #: available (0.0 until :meth:`mark_first_row`).
+        self.first_row = 0.0
+        #: Set while a still-streaming result owns the finishing of this
+        #: trace (see :meth:`TraceHub.request`).
+        self.held = False
+        #: The Figure 9 view, derived once the trace finishes.
+        self.timing: Optional[RequestTiming] = None
         self.root = self.new_span(name, parent=None)
         if sql:
             self.root.annotate("sql", sql[:200])
@@ -148,13 +165,19 @@ class Trace:
             self.spans.append(span)
         return span
 
-    def finish(self, outcome: str = "ok") -> None:
+    def mark_first_row(self) -> None:
+        """Record time-to-first-row once; later calls are no-ops."""
+        if not self.first_row:
+            self.first_row = self.clock()
+
+    def finish(self, outcome: str = "ok") -> bool:
         """End the trace: the root closes and every still-open span is
         clamped to the root's end, so children always nest within parents
-        even when a consumer abandoned a lazy stream mid-pull."""
+        even when a consumer abandoned a lazy stream mid-pull. Returns
+        False when the trace had already finished."""
         with self._lock:
             if self.done:
-                return
+                return False
             self.done = True
             root = self.spans[0]
             if root.end is None:
@@ -166,15 +189,13 @@ class Trace:
                     span.outcome = "unfinished"
                 elif span.end > root.end:
                     span.end = root.end
+        return True
 
     @property
     def duration(self) -> float:
         return self.spans[0].duration
 
     # -- views ------------------------------------------------------------------
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
     def walk(self) -> Iterator[tuple[int, Span]]:
         """Pre-order (depth, span) traversal of the tree."""
@@ -239,6 +260,23 @@ def activate(span: Optional[Span]):
 
 
 @contextmanager
+def resume(span: Optional[Span]):
+    """Re-enter *span*'s trace for work done on its request's behalf after
+    the request call returned (a result stream drained later, on any
+    thread). A context already inside that trace keeps its own active span,
+    so a pull from the wire encoder nests under ``wire_encode``."""
+    active = _ACTIVE.get()
+    if span is None or (active is not None and active.trace is span.trace):
+        yield
+        return
+    token = _ACTIVE.set(span)
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)
+
+
+@contextmanager
 def span(name: str, **attrs: object):
     """Open a child span of the active span for the duration of the block.
 
@@ -266,19 +304,6 @@ def span(name: str, **attrs: object):
         child.finish()
     finally:
         _ACTIVE.reset(token)
-
-
-def begin_span(name: str, **attrs: object) -> Optional[Span]:
-    """Open a child span that an explicit :meth:`Span.finish` will close —
-    for intervals that end on a different thread (queue wait) or inside a
-    lazy generator (result conversion)."""
-    parent = _ACTIVE.get()
-    if parent is None:
-        return None
-    child = parent.trace.new_span(name, parent)
-    if child is not None and attrs:
-        child.attrs.update(attrs)
-    return child
 
 
 def add_event(name: str, **attrs: object) -> None:
@@ -713,7 +738,11 @@ def live_hubs() -> list["TraceHub"]:
 
 
 class TraceHub:
-    """Per-engine trace collection point plus its metric registry and sinks."""
+    """Per-engine trace collection point plus its metric registry and sinks.
+
+    Every finished trace feeds :attr:`timing_log` and the metrics; the
+    sinks (ring buffer, JSONL log, slow-query log) only when *enabled*.
+    """
 
     def __init__(self, enabled: bool = True, ring_size: int = 256,
                  trace_log: Optional[str] = None,
@@ -723,6 +752,8 @@ class TraceHub:
                  id_offset: int = 0, id_stride: int = 1):
         self.enabled = enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The Figure 9 series, one view per finished trace.
+        self.timing_log = TimingLog(window=ring_size, metrics=self.metrics)
         self.slow_thresholds = dict(DEFAULT_SLOW_THRESHOLDS)
         if slow_thresholds:
             self.slow_thresholds.update(slow_thresholds)
@@ -738,9 +769,10 @@ class TraceHub:
         self._id_stride = id_stride
         self._trace_log = trace_log
         self._slow_log = slow_query_log
-        #: In-memory slow-query records (kept even without a log file, so
-        #: tests and the admin command can read them back).
-        self.slow_queries: list[dict] = []
+        #: The most recent slow-query records, bounded like the ring (kept
+        #: even without a log file, so tests and the admin command can read
+        #: them back).
+        self.slow_queries: deque[dict] = deque(maxlen=ring_size)
         _LIVE_HUBS.add(self)
 
     # -- trace lifecycle ---------------------------------------------------------
@@ -755,11 +787,12 @@ class TraceHub:
     def request(self, name: str, sql: str = ""):
         """Trace one request end to end on the current thread.
 
-        Yields None (and traces nothing) when the hub is disabled or a
-        trace is already active — the engine nests under the wire server's
-        trace instead of starting its own.
+        Yields None (and traces nothing) when a trace is already active —
+        the engine nests under the wire server's trace instead of starting
+        its own. The trace finishes when the block exits, unless the block
+        set ``trace.held`` and handed the finishing to a result stream.
         """
-        if not self.enabled or _ACTIVE.get() is not None:
+        if _ACTIVE.get() is not None:
             yield None
             return
         trace = self.start_trace(name, sql)
@@ -770,18 +803,24 @@ class TraceHub:
             self.finish_trace(trace, f"error:{type(error).__name__}")
             raise
         else:
-            self.finish_trace(trace)
+            if not trace.held:
+                self.finish_trace(trace)
         finally:
             _ACTIVE.reset(token)
 
     def finish_trace(self, trace: Trace, outcome: str = "ok",
                      wl_class: Optional[str] = None) -> None:
-        trace.finish(outcome)
+        if not trace.finish(outcome):
+            return
+        trace.timing = RequestTiming.from_trace(trace)
+        self.timing_log.record(trace.timing)
         self.metrics.counter("hyperq_requests_total").inc()
         if outcome != "ok":
             self.metrics.counter("hyperq_request_errors_total").inc()
         self.metrics.histogram("hyperq_request_seconds").observe(
             trace.duration)
+        if not self.enabled:
+            return
         record: Optional[dict] = None
         threshold = self.slow_thresholds.get(
             wl_class or "default", self.slow_thresholds["default"])
@@ -821,6 +860,15 @@ class TraceHub:
     def trace_ids(self) -> list[int]:
         with self._lock:
             return list(self._ring)
+
+    def trace_index(self) -> list[str]:
+        """One line per ring-buffer trace: id, outcome, duration, SQL (the
+        ``SHOW HYPERQ TRACES`` payload)."""
+        with self._lock:
+            traces = list(self._ring.values())
+        return [f"{trace.trace_id}\t{trace.spans[0].outcome}\t"
+                f"{trace.duration * 1e3:.3f}ms\t{trace.sql[:80]}"
+                for trace in traces]
 
     def last_trace(self) -> Optional[Trace]:
         with self._lock:

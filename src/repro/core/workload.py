@@ -538,40 +538,6 @@ class DeficitRoundRobin:
 
 # -- stats ---------------------------------------------------------------------------
 
-#: Histogram bucket upper bounds, seconds (last bucket is unbounded).
-HISTOGRAM_BOUNDS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
-
-
-class LatencyHistogram:
-    """Fixed-bucket latency histogram (queue-wait / run-time feedback)."""
-
-    def __init__(self):
-        self.buckets = [0] * (len(HISTOGRAM_BOUNDS) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        index = 0
-        for index, bound in enumerate(HISTOGRAM_BOUNDS):
-            if seconds <= bound:
-                break
-        else:
-            index = len(HISTOGRAM_BOUNDS)
-        self.buckets[index] += 1
-        self.count += 1
-        self.total += seconds
-        self.max = max(self.max, seconds)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict:
-        return {"buckets": list(self.buckets), "count": self.count,
-                "mean": self.mean, "max": self.max}
-
-
 class WorkloadStats:
     """Thread-safe per-class counters + histograms (the Figure-8-style
     operational companion for the load path)."""
@@ -582,8 +548,8 @@ class WorkloadStats:
     def __init__(self, classes: tuple[str, ...] = WORKLOAD_CLASSES):
         self._lock = threading.Lock()
         self._counts = {c: {e: 0 for e in self.EVENTS} for c in classes}
-        self._queue_wait = {c: LatencyHistogram() for c in classes}
-        self._run_time = {c: LatencyHistogram() for c in classes}
+        self._queue_wait = {c: trace_mod.Histogram() for c in classes}
+        self._run_time = {c: trace_mod.Histogram() for c in classes}
 
     def count(self, wl_class: str, event: str) -> None:
         with self._lock:
@@ -624,7 +590,8 @@ class _WorkRequest:
     """One admitted-or-waiting request inside the manager."""
 
     __slots__ = ("wl_class", "fn", "future", "session_uid", "enqueued",
-                 "deadline_at", "synthetic_wait", "decision", "tenant")
+                 "deadline_at", "synthetic_wait", "decision", "tenant",
+                 "span", "queued_at")
 
     def __init__(self, decision: WorkloadDecision, fn, session_uid: int,
                  enqueued: float, deadline_at: Optional[float],
@@ -638,6 +605,23 @@ class _WorkRequest:
         self.deadline_at = deadline_at
         self.synthetic_wait = synthetic_wait
         self.tenant = tenant
+        #: The submitter's active span, and its trace clock at submit: the
+        #: worker records the ``queue_wait`` span under it.
+        self.span = trace_mod.current_span()
+        self.queued_at = (self.span.trace.clock()
+                          if self.span is not None else 0.0)
+
+
+def _trace_wait(request: _WorkRequest) -> None:
+    """Record the request's time in the queue as a ``queue_wait`` span of
+    its trace; injected (synthetic) queue age counts as queue wait too."""
+    span = request.span
+    attrs: dict[str, object] = {"wl_class": request.wl_class}
+    if request.synthetic_wait:
+        attrs["synthetic"] = request.synthetic_wait
+    with trace_mod.activate(span):
+        trace_mod.add_span("queue_wait", request.queued_at, span.trace.clock(),
+                           **attrs)
 
 
 @dataclass
@@ -1042,6 +1026,8 @@ class WorkloadManager:
         start = self._clock()
         wait = start - request.enqueued + request.synthetic_wait
         wl_class = request.wl_class
+        if request.span is not None:
+            _trace_wait(request)
         self.stats.observe_wait(wl_class, wait)
         self.stats.count(wl_class, "admitted")
         self._note(wl_class, "admitted")
@@ -1058,9 +1044,6 @@ class WorkloadManager:
         else:
             run_time = self._clock() - start
             self.stats.observe_run(wl_class, run_time)
-            timing = getattr(result, "timing", None)
-            if timing is not None and hasattr(timing, "queue_wait"):
-                timing.queue_wait += wait
             self._feedback(request, run_time)
             if not request.future.done():
                 request.future.set_result(result)

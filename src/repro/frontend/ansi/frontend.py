@@ -85,10 +85,6 @@ class AnsiFrontend:
         """Bind one parsed spec against the current catalog state."""
         return self._lower(spec, "")
 
-    def bind_script(self, sql: str) -> list[r.Statement]:
-        return [self._lower(spec, sql)
-                for spec in self._parser.parse_script(sql)]
-
     # -- spec -> XTRA statement ------------------------------------------------------
 
     def _lower(self, spec: p.StatementSpec, source_sql: str) -> r.Statement:

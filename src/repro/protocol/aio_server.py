@@ -432,10 +432,10 @@ class AioHyperQServer:
         """
         engine = self.engine
         hub = engine.tracing
-        trace = hub.start_trace("request") if hub.enabled else None
+        trace = hub.start_trace("request")
         state = conn.state
         state.wl_class = None
-        root = trace.root if trace is not None else None
+        root = trace.root
         with trace_mod.activate(root):
             outcome = "ok"
             try:
@@ -443,9 +443,8 @@ class AioHyperQServer:
                     sql = payload.decode("utf-8")
                     fault = (engine.faults.draw("wire", op=sql)
                              if engine.faults is not None else None)
-                if trace is not None:
-                    trace.sql = sql
-                    trace.root.annotate("sql", sql[:200])
+                trace.sql = sql
+                trace.root.annotate("sql", sql[:200])
                 if fault is not None and fault.kind == flt.WIRE_DISCONNECT:
                     engine.resilience.note("wire_disconnect")
                     engine.faults.record("wire_disconnect", seq=fault.seq)
@@ -481,8 +480,7 @@ class AioHyperQServer:
                 outcome = f"error:{type(error).__name__}"
                 raise
             finally:
-                if trace is not None:
-                    hub.finish_trace(trace, outcome, wl_class=state.wl_class)
+                hub.finish_trace(trace, outcome, wl_class=state.wl_class)
 
     # -- request execution --------------------------------------------------------------
 
@@ -567,9 +565,9 @@ class AioHyperQServer:
         await writer.drain()
 
     def _pull_chunk(self, pull, parent):
-        # The conversion generator opens its result_convert span at first
-        # pull; activate the request's wire_encode span on this executor
-        # thread so the span nests exactly as on the threaded path.
+        # Activate the request's wire_encode span on this executor thread,
+        # so the conversion's backend_fetch and result_convert spans nest
+        # under it exactly as on the threaded path.
         with self._pull_lock:
             self.active_pulls += 1
         try:

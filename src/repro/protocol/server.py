@@ -110,14 +110,11 @@ def run_managed(server, state: RequestState, session, sql: str,
             cspan.annotate("reason", decision.reason)
     state.wl_class = decision.wl_class
     # The pool worker gets a fresh context; hand the active span across
-    # explicitly, and time the queue wait from submit to work start.
+    # explicitly (the manager records the queue wait under it).
     root = trace_mod.current_span()
-    qspan = trace_mod.begin_span("queue_wait", wl_class=decision.wl_class)
 
     def work() -> HQResult:
         with trace_mod.activate(root):
-            if qspan is not None:
-                qspan.finish()
             # Unconditional: None restores the engine default, clearing
             # a previous request's per-class override.
             session.apply_batch_budget(decision.budget)
@@ -234,18 +231,17 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         """
         engine = self.server.engine
         hub = engine.tracing
-        trace = hub.start_trace("request") if hub.enabled else None
+        trace = hub.start_trace("request")
         self._state.wl_class = None
-        with trace_mod.activate(trace.root if trace is not None else None):
+        with trace_mod.activate(trace.root):
             outcome = "ok"
             try:
                 with trace_mod.span("protocol_decode", bytes=len(payload)):
                     sql = payload.decode("utf-8")
                     fault = (engine.faults.draw("wire", op=sql)
                              if engine.faults is not None else None)
-                if trace is not None:
-                    trace.sql = sql
-                    trace.root.annotate("sql", sql[:200])
+                trace.sql = sql
+                trace.root.annotate("sql", sql[:200])
                 if fault is not None and fault.kind == flt.WIRE_DISCONNECT:
                     engine.resilience.note("wire_disconnect")
                     engine.faults.record("wire_disconnect", seq=fault.seq)
@@ -284,9 +280,8 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 outcome = f"error:{type(error).__name__}"
                 raise
             finally:
-                if trace is not None:
-                    hub.finish_trace(trace, outcome,
-                                     wl_class=self._state.wl_class)
+                hub.finish_trace(trace, outcome,
+                                 wl_class=self._state.wl_class)
 
     def _run_request(self, session, sql: str, delay: float) -> HQResult:
         manager = self.server.engine.workload

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -61,18 +60,21 @@ class StreamingResult:
     which case :meth:`buffer` drains the remainder into a bounded
     :class:`ResultStore` (spilling past the memory budget). The interface
     mirrors :class:`ConvertedResult` so downstream layers take either.
+
+    :attr:`on_done`, when set, is called once with an outcome string when
+    the stream is exhausted, fails, or is closed — the in-process request
+    trace finishes there.
     """
 
     def __init__(self, metas: list[ColumnMeta],
                  source: Iterator[tuple[bytes, int]],
                  max_memory_bytes: int = 64 * 1024 * 1024,
-                 spill_dir: Optional[str] = None,
-                 on_first_chunk: Optional[Callable[[], None]] = None):
+                 spill_dir: Optional[str] = None):
         self.metas = metas
         self._source = source
         self._max_memory = max_memory_bytes
         self._spill_dir = spill_dir
-        self._on_first_chunk = on_first_chunk
+        self.on_done: Optional[Callable[[str], None]] = None
         self._store: Optional[ResultStore] = None
         self._rowcount = 0
         self._consumed = False
@@ -98,17 +100,22 @@ class StreamingResult:
         return self._rowcount
 
     def _pull(self) -> Iterator[bytes]:
-        first = True
-        for chunk, nrows in self._source:
-            self._rowcount += nrows
-            if len(chunk) > self.peak_chunk_bytes:
-                self.peak_chunk_bytes = len(chunk)
-            if first:
-                first = False
-                if self._on_first_chunk is not None:
-                    self._on_first_chunk()
-            yield chunk
+        try:
+            for chunk, nrows in self._source:
+                self._rowcount += nrows
+                if len(chunk) > self.peak_chunk_bytes:
+                    self.peak_chunk_bytes = len(chunk)
+                yield chunk
+        except Exception as error:
+            self._done(f"error:{type(error).__name__}")
+            raise
         self._consumed = True
+        self._done("ok")
+
+    def _done(self, outcome: str) -> None:
+        on_done, self.on_done = self.on_done, None
+        if on_done is not None:
+            on_done(outcome)
 
     def iter_chunks(self) -> Iterator[bytes]:
         """Yield converted chunks: replayed from the buffer once one exists,
@@ -154,6 +161,7 @@ class StreamingResult:
         if self._store is not None:
             self._store.close()
             self._store = None
+        self._done("ok")
 
 
 class ResultConverter:
@@ -206,114 +214,125 @@ class ResultConverter:
     def convert(self, batches: Iterable[bytes],
                 declared_types: Optional[list[SQLType]] = None) -> ConvertedResult:
         """Convert an iterable of TDF packets into source binary chunks."""
-        decoded: list[tuple[list[str], list[tuple]]] = []
-        for packet in batches:
-            decoded.append(tdf.decode_batch(packet))
-        if not decoded:
-            return ConvertedResult(metas=[], chunks=[], rowcount=0)
-        columns = decoded[0][0]
-        sample_rows = next((rows for __, rows in decoded if rows), [])
-        metas = effective_meta(columns, declared_types or [], sample_rows)
-        encode_one = RowCodec.for_metas(metas).encode
-
-        row_batches = [rows for __, rows in decoded]
-        with trace_mod.span("result_convert", batches=len(row_batches)) as sp:
+        with trace_mod.span("result_convert") as sp:
+            decoded = [tdf.decode_batch(packet) for packet in batches]
+            if not decoded:
+                return ConvertedResult(metas=[], chunks=[], rowcount=0)
+            columns = decoded[0][0]
+            row_batches = [rows for __, rows in decoded]
+            sample_rows = next((rows for rows in row_batches if rows), [])
+            metas = effective_meta(columns, declared_types or [], sample_rows)
+            encode_one = RowCodec.for_metas(metas).encode
             if self._parallelism > 1 and len(row_batches) > 1:
                 encoded = list(self._ensure_pool().map(
                     encode_one, row_batches))
             else:
                 encoded = [encode_one(rows) for rows in row_batches]
+            rowcount = sum(len(rows) for rows in row_batches)
+            if self._buffer_all:
+                store = ResultStore(self._max_memory, self._spill_dir)
+                for chunk in encoded:
+                    store.append(chunk)
+                result = ConvertedResult(metas=metas, rowcount=rowcount,
+                                         store=store)
+            else:
+                result = ConvertedResult(metas=metas, chunks=encoded,
+                                         rowcount=rowcount)
             if sp is not None:
-                sp.annotate("rows", sum(len(rows) for rows in row_batches))
+                sp.annotate("batches", len(row_batches))
+                sp.annotate("rows", rowcount)
                 sp.annotate("bytes", sum(len(chunk) for chunk in encoded))
-
-        rowcount = sum(len(rows) for rows in row_batches)
-        if self._buffer_all:
-            store = ResultStore(self._max_memory, self._spill_dir)
-            for chunk in encoded:
-                store.append(chunk)
-            return ConvertedResult(metas=metas, rowcount=rowcount, store=store)
-        return ConvertedResult(metas=metas, chunks=encoded, rowcount=rowcount)
+            # Freeing the decoded rows is conversion work too: release them
+            # inside the span rather than when the frame unwinds.
+            del decoded, row_batches
+        trace = trace_mod.current_trace()
+        if trace is not None:
+            trace.mark_first_row()
+        return result
 
     def convert_stream(self, batches: Iterable[bytes],
                        declared_types: Optional[list[SQLType]] = None,
-                       timing=None,
-                       on_first_chunk: Optional[Callable[[], None]] = None,
                        ) -> StreamingResult:
         """Convert TDF packets into source chunks one batch at a time.
 
-        Pulls lazily from *batches*; only the first packet is decoded up
-        front (it supplies the column sample for meta inference, and it makes
-        malformed results fail at convert time). Decode and encode time is
-        accumulated into the ``result_conversion`` stage of *timing* as the
-        stream is consumed. With ``parallelism > 1`` the converter keeps up
-        to that many encodes in flight ahead of the consumer — the paper's
-        parallel conversion, still bounded.
-        """
-        def measure():
-            return (timing.measure("result_conversion")
-                    if timing is not None else nullcontext())
+        Pulls lazily from *batches*; only the first packet is fetched and
+        decoded up front (it supplies the column sample for meta inference,
+        and it makes malformed results fail at convert time). With
+        ``parallelism > 1`` the converter keeps up to that many encodes in
+        flight ahead of the consumer — the paper's parallel conversion,
+        still bounded.
 
+        Every pull from *batches* is a ``backend_fetch`` span and every
+        decode/encode step a ``result_convert`` span, recorded in the trace
+        active here even when the stream is drained later or on another
+        thread (see :func:`~repro.core.trace.resume`).
+        """
+        owner = trace_mod.current_span()
         iterator = iter(batches)
-        with measure():
-            first_packet = next(iterator, None)
+
+        def fetch() -> Optional[bytes]:
+            with trace_mod.span("backend_fetch"):
+                return next(iterator, None)
+
+        first_packet = fetch()
         if first_packet is None:
             return StreamingResult([], iter(()), self._max_memory,
-                                   self._spill_dir, on_first_chunk)
-        with measure():
+                                   self._spill_dir)
+        with trace_mod.span("result_convert"):
             columns, sample = tdf.decode_batch(first_packet)
             metas = effective_meta(columns, declared_types or [], sample)
         codec = RowCodec.for_metas(metas)  # one compiled codec per stream
 
-        def decoded_batches() -> Iterator[list[tuple]]:
-            yield sample
-            while True:
-                packet = next(iterator, None)  # backend pull, not conversion
-                if packet is None:
-                    return
-                with measure():
-                    __, rows = tdf.decode_batch(packet)
-                yield rows
-
-        def chunk_source() -> Iterator[tuple[bytes, int]]:
-            if self._parallelism > 1:
-                pool = self._ensure_pool()
-                in_flight: deque = deque()
-                for rows in decoded_batches():
-                    in_flight.append(
-                        (pool.submit(codec.encode, rows), len(rows)))
-                    while len(in_flight) > self._parallelism:
-                        future, nrows = in_flight.popleft()
-                        yield future.result(), nrows
-                while in_flight:
-                    future, nrows = in_flight.popleft()
-                    yield future.result(), nrows
-            else:
-                encode = codec.encode
-                for rows in decoded_batches():
-                    with measure():
-                        chunk = encode(rows)
-                    yield chunk, len(rows)
-
-        def traced_source() -> Iterator[tuple[bytes, int]]:
-            # One span covers the whole lazy conversion, opened at first
-            # pull on whatever thread is draining (so it nests under the
-            # wire-encode span on the server path) and closed when the
-            # stream ends — or clamped by Trace.finish if abandoned.
-            span = trace_mod.begin_span("result_convert")
-            chunks = rows = size = 0
-            try:
-                for chunk, nrows in chunk_source():
-                    chunks += 1
-                    rows += nrows
-                    size += len(chunk)
-                    yield chunk, nrows
-            finally:
+        def converted(packet: Optional[bytes]) -> tuple[bytes, int]:
+            # None stands for the first packet, decoded above.
+            with trace_mod.span("result_convert") as span:
+                rows = sample if packet is None else tdf.decode_batch(packet)[1]
                 if span is not None:
-                    span.annotate("chunks", chunks)
-                    span.annotate("rows", rows)
-                    span.annotate("bytes", size)
-                    span.finish()
+                    span.annotate("rows", len(rows))
+                return codec.encode(rows), len(rows)
 
-        return StreamingResult(metas, traced_source(), self._max_memory,
-                               self._spill_dir, on_first_chunk)
+        def serial() -> Iterator[tuple[bytes, int]]:
+            yield converted(None)
+            while (packet := fetch()) is not None:
+                yield converted(packet)
+
+        def parallel() -> Iterator[tuple[bytes, int]]:
+            pool = self._ensure_pool()
+            in_flight: deque = deque()
+
+            def landed() -> tuple[bytes, int]:
+                future, nrows = in_flight.popleft()
+                with trace_mod.span("result_convert", rows=nrows):
+                    return future.result(), nrows
+
+            rows: Optional[list[tuple]] = sample
+            while rows is not None:
+                in_flight.append((pool.submit(codec.encode, rows), len(rows)))
+                while len(in_flight) > self._parallelism:
+                    yield landed()
+                packet = fetch()
+                if packet is None:
+                    break
+                with trace_mod.span("result_convert"):
+                    rows = tdf.decode_batch(packet)[1]
+            while in_flight:
+                yield landed()
+
+        def traced(steps: Iterator[tuple[bytes, int]]):
+            # Each step runs inside the request's trace, whichever thread
+            # pulls; the spans close before control returns to the consumer.
+            try:
+                while True:
+                    with trace_mod.resume(owner):
+                        step = next(steps, None)
+                    if step is None:
+                        return
+                    if owner is not None:
+                        owner.trace.mark_first_row()
+                    yield step
+            finally:
+                steps.close()
+
+        steps = parallel() if self._parallelism > 1 else serial()
+        return StreamingResult(metas, traced(steps), self._max_memory,
+                               self._spill_dir)

@@ -51,8 +51,3 @@ def batch_statements(statements: list[Statement],
         out.append(statement)
     return out
 
-
-def batching_summary(before: list[Statement], after: list[Statement]) -> str:
-    """Human-readable effect description for logs/benches."""
-    return (f"{len(before)} source statements -> {len(after)} target "
-            f"statements after DML batching")

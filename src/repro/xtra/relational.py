@@ -493,7 +493,3 @@ class Transaction(Statement):
     """BT/ET/BEGIN/COMMIT/ROLLBACK markers."""
 
     action: str = "BEGIN"  # BEGIN | COMMIT | ROLLBACK
-
-
-def is_query(stmt: Statement) -> bool:
-    return isinstance(stmt, Query)

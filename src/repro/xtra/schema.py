@@ -66,27 +66,5 @@ class TableSchema:
                 return col
         raise CatalogError(f"column {name!r} not found in {self.name}")
 
-    def has_column(self, name: str) -> bool:
-        wanted = name.upper()
-        return any(col.name == wanted for col in self.columns)
-
     def column_names(self) -> list[str]:
         return [col.name for col in self.columns]
-
-    def rename(self, new_name: str) -> "TableSchema":
-        clone = replace_table(self)
-        clone.name = new_name.upper()
-        return clone
-
-
-def replace_table(table: TableSchema) -> TableSchema:
-    """Shallow-copy a TableSchema (columns are immutable and shared)."""
-    return TableSchema(
-        name=table.name,
-        columns=list(table.columns),
-        set_semantics=table.set_semantics,
-        volatile=table.volatile,
-        is_view=table.is_view,
-        view_sql=table.view_sql,
-        primary_index=table.primary_index,
-    )

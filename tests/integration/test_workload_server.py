@@ -150,6 +150,34 @@ class TestManagedServer:
         finally:
             manager.close()
 
+    def test_queue_wait_histogram_matches_timing_log(self):
+        """Every managed wire request feeds one queue-wait observation, and
+        the histogram and the timing log read the same span-derived view —
+        injected (synthetic) queue age included."""
+        faults = FaultSchedule(0, [
+            FaultSpec(SLOW_RESULT, "admission", at=(2,), delay=0.25),
+        ])
+        engine, manager, __ = _managed_engine(faults=faults)
+        requests = 12
+        try:
+            with ServerThread(engine) as (host, port):
+                with _client(host, port) as client:
+                    client.execute("CREATE TABLE T (A INTEGER)")
+                    for value in range(requests - 1):
+                        client.execute(f"SEL A FROM T WHERE A = {value}")
+            log = engine.timing_log
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and log.count < requests:
+                time.sleep(0.01)
+            histogram = engine.tracing.metrics.histogram(
+                "hyperq_stage_seconds_queue_wait")
+            assert log.count == requests
+            assert histogram.count == requests
+            assert histogram.total == pytest.approx(log.queue_wait)
+            assert log.queue_wait >= 0.25  # the injected queue age counts
+        finally:
+            manager.close()
+
     def test_queue_expired_request_gets_clean_failure(self):
         """Satellite 2: an expired request is rejected with a FAILURE reply
         and the session keeps serving subsequent requests."""

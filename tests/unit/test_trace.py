@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -52,7 +53,7 @@ class TestSpanTree:
         clamped to the root's end so nesting invariants still hold."""
         hub = TraceHub()
         with hub.request("request") as trace:
-            dangling = trace_mod.begin_span("stream")
+            dangling = trace.new_span("stream", trace.root)
             assert dangling is not None
         assert dangling.end is not None
         assert dangling.outcome == "unfinished"
@@ -97,12 +98,15 @@ class TestSpanTree:
         assert len(hub.trace_ids()) == 1
         assert outer.name == "outer"
 
-    def test_disabled_hub_traces_nothing(self):
+    def test_disabled_hub_times_but_keeps_no_traces(self):
         hub = TraceHub(enabled=False)
         with hub.request("request") as trace:
-            assert trace is None
-            assert trace_mod.current_span() is None
-        assert hub.trace_ids() == []
+            assert trace_mod.current_span() is trace.root
+            with trace_mod.span("parse"):
+                pass
+        assert hub.trace_ids() == []  # sinks off
+        assert hub.timing_log.count == 1  # the spans are still the timing
+        assert hub.timing_log.translation == trace.spans[1].duration
 
 
 class TestHubSinks:
@@ -114,6 +118,60 @@ class TestHubSinks:
         assert hub.trace_ids() == [3, 4, 5]
         assert hub.get_trace(1) is None
         assert hub.last_trace().sql == "Q4"
+
+    def test_timing_log_and_slow_queries_stay_bounded(self):
+        """A long-running hub keeps a bounded window of views and slow-query
+        records while its per-stage totals stay exact over every request."""
+        hub = TraceHub(ring_size=64, slow_thresholds={"default": 0.0})
+        expected = {"translation": 0.0, "execution": 0.0}
+        for __ in range(20_000):
+            with hub.request("request") as trace:
+                with trace_mod.span("parse"):
+                    pass
+                with trace_mod.span("odbc_execute"):
+                    pass
+            expected["translation"] += trace.timing.translation
+            expected["execution"] += trace.timing.execution
+        log = hub.timing_log
+        assert log.count == 20_000
+        assert len(log.requests) <= 64
+        assert len(hub.slow_queries) <= 64
+        assert len(hub.trace_ids()) <= 64
+        assert log.translation == expected["translation"]
+        assert log.execution == expected["execution"]
+
+    def test_concurrent_requests_lose_no_timing_records(self):
+        """Connection threads finish traces concurrently; the log's count
+        and totals must not lose an update."""
+        hub = TraceHub(ring_size=16)
+        threads_n, per_thread = 8, 300
+        seen: list[float] = []
+        seen_lock = threading.Lock()
+
+        def client() -> None:
+            for __ in range(per_thread):
+                with hub.request("request") as trace:
+                    with trace_mod.span("parse"):
+                        pass
+                with seen_lock:
+                    seen.append(trace.timing.translation)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client)
+                       for __ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        log = hub.timing_log
+        assert log.count == threads_n * per_thread == len(seen)
+        assert log.translation == pytest.approx(sum(seen), rel=1e-9)
+        assert len(log.requests) <= 16
 
     def test_jsonl_trace_log(self, tmp_path):
         log = tmp_path / "traces.jsonl"
@@ -176,6 +234,7 @@ class TestXtraDigest:
         session.execute("CREATE TABLE T1 (A INTEGER, B DATE)")
         result = session.execute(
             "SEL A FROM T1 WHERE B > DATE '2020-01-01' ORDER BY A DESC")
+        result.close()  # a rows result holds its trace open until closed
         trace = session.engine.tracing.last_trace()
         rule_spans = [s for s in trace.spans if s.name.startswith("rule:")]
         assert rule_spans, "expected at least one fired rewrite rule"
@@ -226,7 +285,7 @@ class TestEngineMetrics:
     def test_pipeline_metrics_recorded(self, session):
         session.execute("CREATE TABLE T6 (A INTEGER)")
         session.execute("INSERT INTO T6 VALUES (1)")
-        session.execute("SEL A FROM T6")
+        session.execute("SEL A FROM T6").close()  # rows: done when closed
         metrics = session.engine.tracing.metrics
         assert metrics.counter("hyperq_requests_total").value >= 3
         assert metrics.histogram("hyperq_request_seconds").count >= 3
