@@ -28,6 +28,33 @@ class ClientResult:
     rowcount: int = 0
 
 
+class _BufferedReader:
+    """The client's read side of the socket, buffered.
+
+    A response is several small frames (META, ROWS, SUCCESS), each read
+    as a header then a payload. Reading whatever has arrived in one
+    ``recv`` and serving the frame reads from that buffer makes one
+    syscall per burst instead of two per frame; every syscall gives up
+    the GIL, which a busy process may take milliseconds to hand back.
+    """
+
+    _CHUNK = 65536
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._buffer = b""
+        self._pos = 0
+
+    def recv(self, count: int) -> bytes:
+        """Up to *count* bytes; ``b""`` once the peer has closed."""
+        if self._pos >= len(self._buffer):
+            self._buffer = self._sock.recv(max(count, self._CHUNK))
+            self._pos = 0
+        start = self._pos
+        self._pos = min(start + count, len(self._buffer))
+        return self._buffer[start:self._pos]
+
+
 class RowStream:
     """Incremental view of one in-flight response.
 
@@ -38,8 +65,8 @@ class RowStream:
     — test instrumentation hooks timestamps through it.
     """
 
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
+    def __init__(self, reader: _BufferedReader):
+        self._reader = reader
         self.metas: list[ColumnMeta] = []
         self.final: Optional[ClientResult] = None
         self.on_rows = None  # callable(frame_rows: list[tuple]) or None
@@ -52,7 +79,7 @@ class RowStream:
         count = 0
         saw_count = False
         while True:
-            kind, payload = read_message(self._sock)
+            kind, payload = read_message(self._reader)
             if kind is MessageKind.RESULT_META:
                 self.metas = decode_meta(payload)
             elif kind is MessageKind.RESULT_ROWS:
@@ -99,6 +126,7 @@ class TdClient:
                 sock.connect((host, port))
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = _BufferedReader(sock)
         self.session_id: Optional[int] = None
         self._logon(user, password, tenant)
 
@@ -111,7 +139,7 @@ class TdClient:
             # reproduction's server never checks.
             payload += b"\0" + tenant.encode("utf-8")
         send_message(self._sock, MessageKind.LOGON_REQUEST, payload)
-        kind, response = read_message(self._sock)
+        kind, response = read_message(self._reader)
         if kind is MessageKind.FAILURE:
             self._sock.close()
             raise BackendError(response.decode("utf-8", "replace"))
@@ -137,7 +165,7 @@ class TdClient:
         iteration leaves response frames on the socket.
         """
         send_message(self._sock, MessageKind.RUN_QUERY, sql.encode("utf-8"))
-        return RowStream(self._sock)
+        return RowStream(self._reader)
 
     # -- observability admin commands ------------------------------------------------
 

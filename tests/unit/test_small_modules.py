@@ -103,6 +103,39 @@ class TestProtocolFraming:
         with pytest.raises(errors.ProtocolError):
             messages.read_message(FakeSock(header))
 
+    def test_buffered_reader_serves_a_burst_of_frames_in_one_recv(self):
+        from repro.protocol.client import _BufferedReader
+
+        kinds = [messages.MessageKind.RESULT_META,
+                 messages.MessageKind.RESULT_ROWS,
+                 messages.MessageKind.SUCCESS]
+        payloads = [b"meta", b"r" * 100_000, b"\x00" * 8]
+        burst = b"".join(messages.encode_message(kind, payload)
+                         for kind, payload in zip(kinds, payloads))
+
+        class CountingSock:
+            """Hands out the burst in uneven pieces, then EOF."""
+
+            def __init__(self, data):
+                self.data = data
+                self.calls = 0
+
+            def recv(self, n):
+                self.calls += 1
+                chunk, self.data = self.data[:min(n, 70_000)], \
+                    self.data[min(n, 70_000):]
+                return chunk
+
+        sock = CountingSock(burst)
+        reader = _BufferedReader(sock)
+        for kind, payload in zip(kinds, payloads):
+            assert messages.read_message(reader) == (kind, payload)
+        # Six header/payload reads over a 100 KB burst: two recv calls,
+        # where an unbuffered reader makes one per read at least.
+        assert sock.calls == 2
+        with pytest.raises(errors.ProtocolError):
+            messages.read_message(reader)
+
 
 class TestMacroExpansion:
     @pytest.fixture
